@@ -3,8 +3,11 @@
 The order complex of a poset has the chains (totally ordered subsets) as
 faces.  Faces are stored in relation-ascending vertex order, so the
 boundary of [v0 < ... < vk] is the usual alternating sum over deleted
-vertices.  Chain complexes carry dense integer matrices; building one
-checks that consecutive differentials compose to zero.
+vertices.  Chain complexes carry column-sparse integer matrices: each
+face's boundary is one column, the relative complex keeps the columns of
+the faces outside the subcomplex with their subcomplex entries dropped,
+and the cochain complex transposes.  Building a complex checks, on the
+sparse form, that consecutive differentials compose to zero.
 """
 
 from __future__ import annotations
@@ -233,13 +236,11 @@ def chain_complex(complex_: SimplicialComplex) -> ChainComplex:
     maps = []
     for k in range(1, len(complex_.faces_by_dim)):
         rows = {face: i for i, face in enumerate(complex_.faces_by_dim[k - 1])}
-        cols = complex_.faces_by_dim[k]
-        entries = [[0] * len(cols) for _ in rows]
-        for j, face in enumerate(cols):
-            for i in range(len(face)):
-                sub = face[:i] + face[i + 1:]
-                entries[rows[sub]][j] += (-1) ** i
-        maps.append(IntMatrix.from_rows(entries, cols=len(cols)))
+        columns = [
+            [(rows[face[:i] + face[i + 1:]], (-1) ** i) for i in range(len(face))]
+            for face in complex_.faces_by_dim[k]
+        ]
+        maps.append(IntMatrix.from_columns(len(rows), len(columns), columns))
     return _trimmed(HOMOLOGICAL, basis, maps)
 
 
@@ -266,9 +267,9 @@ def relative_chain_complex(ambient: ChainComplex, sub: ChainComplex) -> ChainCom
     )
     maps = []
     for k, m in enumerate(ambient.maps):
-        rows, cols = keep[k], keep[k + 1]
-        entries = [[m.entries[i][j] for j in cols] for i in rows]
-        maps.append(IntMatrix.from_rows(entries, cols=len(cols)))
+        rows = {i: new for new, i in enumerate(keep[k])}
+        columns = [[(rows[i], x) for i, x in m.columns[j] if i in rows] for j in keep[k + 1]]
+        maps.append(IntMatrix.from_columns(len(rows), len(columns), columns))
     return _trimmed(HOMOLOGICAL, basis, maps)
 
 

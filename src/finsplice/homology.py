@@ -5,6 +5,14 @@ reduces to the Smith normal form of the differentials: the free rank of
 the group at degree k is dim(k) minus the ranks of the outgoing and
 incoming maps, and the torsion is the set of invariant factors above 1 of
 the incoming map.
+
+The Smith normal form first eliminates +-1 pivots on the column-sparse
+matrix, as in Dumas, Saunders and Villard, "On efficient sparse integer
+matrix Smith normal form computations" (J. Symb. Comput. 32, 2001); each
+adds a 1 to the diagonal.  Boundary maps of order complexes reduce almost
+entirely this way, and the dense elimination runs only on the leftover
+block.  Unimodular transforms, when asked for, come from the dense
+elimination of the whole matrix, which also serves the tests as oracle.
 """
 
 from __future__ import annotations
@@ -70,6 +78,56 @@ class SmithNormalForm(NamedTuple):
     right: IntMatrix | None
 
 
+def _unit_pivots(matrix: IntMatrix) -> tuple[int, IntMatrix]:
+    """Eliminate +-1 pivots sparsely; return their number and the leftover block.
+
+    A pivot at (p, j) clears the rest of row p by column operations, after
+    which row operations clear column j without touching anything else, so
+    the matrix is equivalent to a 1 beside the updated matrix with row p
+    and column j deleted.  Short columns go first, and within a column the pivot row
+    with the fewest entries, to keep fill-in low.  Passes repeat while they
+    find pivots, since elimination can create new +-1 entries.
+    """
+    columns = {j: dict(column) for j, column in enumerate(matrix.columns) if column}
+    in_row: dict[int, set[int]] = {}
+    for j, column in columns.items():
+        for i in column:
+            in_row.setdefault(i, set()).add(j)
+    units = 0
+    progress = True
+    while progress:
+        progress = False
+        for j in sorted(columns, key=lambda j: (len(columns[j]), j)):
+            pivot_column = columns.get(j, {})
+            candidates = [i for i, x in pivot_column.items() if x in (1, -1)]
+            if not candidates:
+                continue
+            p = min(candidates, key=lambda i: (len(in_row[i]), i))
+            del columns[j]
+            for i in pivot_column:
+                in_row[i].discard(j)
+            sign = pivot_column.pop(p)
+            for other in in_row.pop(p):
+                target = columns[other]
+                q = target.pop(p) * sign
+                for i, x in pivot_column.items():
+                    y = target.get(i, 0) - q * x
+                    if not y:
+                        del target[i]
+                        in_row[i].discard(other)
+                    else:
+                        if i not in target:
+                            in_row[i].add(other)
+                        target[i] = y
+                if not target:
+                    del columns[other]
+            units += 1
+            progress = True
+    rows = {i: new for new, i in enumerate(sorted(i for i, js in in_row.items() if js))}
+    block = [[(rows[i], x) for i, x in columns[j].items()] for j in sorted(columns)]
+    return units, IntMatrix.from_columns(len(rows), len(block), block)
+
+
 def smith_normal_form(matrix: IntMatrix, want_transforms: bool = False) -> SmithNormalForm:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
@@ -77,8 +135,11 @@ def smith_normal_form(matrix: IntMatrix, want_transforms: bool = False) -> Smith
     number is the rank.  With want_transforms, unimodular matrices U and V
     are returned with U * matrix * V equal to the diagonal form exactly.
 
-    Pivots are chosen by smallest nonzero absolute value, ties broken by
-    row then column index.  All arithmetic is exact.
+    Without transforms, +-1 pivots are first eliminated sparsely (see
+    `_unit_pivots`) and the dense elimination below runs on the leftover
+    block only; with them it runs on the whole matrix.  Dense pivots are
+    chosen by smallest nonzero absolute value, ties broken by row then
+    column index.  All arithmetic is exact.
 
     >>> smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).diagonal
     (1, 6)
@@ -87,8 +148,9 @@ def smith_normal_form(matrix: IntMatrix, want_transforms: bool = False) -> Smith
     >>> smith_normal_form(IntMatrix.from_rows([[-1], [-1]])).diagonal
     (1,)
     """
-    n_rows, n_cols = matrix.rows, matrix.cols
-    a = matrix.to_lists()
+    units, block = (0, matrix) if want_transforms else _unit_pivots(matrix)
+    n_rows, n_cols = block.rows, block.cols
+    a = block.to_lists()
     u = IntMatrix.identity(n_rows).to_lists() if want_transforms else None
     v = IntMatrix.identity(n_cols).to_lists() if want_transforms else None
 
@@ -189,7 +251,7 @@ def smith_normal_form(matrix: IntMatrix, want_transforms: bool = False) -> Smith
             found = smallest_pivot(t)
         t += 1
 
-    diagonal = tuple(a[i][i] for i in range(limit) if a[i][i])
+    diagonal = (1,) * units + tuple(a[i][i] for i in range(limit) if a[i][i])
     left = right = None
     if want_transforms:
         left = IntMatrix.from_rows(u, cols=n_rows)

@@ -32,6 +32,13 @@ def space_to_dict(space: FiniteSpace) -> dict:
     }
 
 
+def _strings(value, message: str) -> tuple[str, ...]:
+    """The value as a tuple of strings, if it is a JSON array of strings."""
+    if not isinstance(value, list) or not all(isinstance(p, str) for p in value):
+        raise SpaceFormatError(message)
+    return tuple(value)
+
+
 def space_from_dict(data: dict) -> FiniteSpace:
     if not isinstance(data, dict):
         raise SpaceFormatError("space file must hold a JSON object")
@@ -40,35 +47,35 @@ def space_from_dict(data: dict) -> FiniteSpace:
         raise SpaceFormatError(f"unsupported format {fmt!r}, expected {SPACE_FORMAT!r}")
     if "points" not in data:
         raise SpaceFormatError("missing required field 'points'")
-    points = data["points"]
-    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
-        raise SpaceFormatError("'points' must be an array of strings")
+    points = _strings(data["points"], "'points' must be an array of strings")
     given = [key for key in ("opens", "min_opens", "leq") if key in data]
     if len(given) != 1:
         raise SpaceFormatError("exactly one of 'opens', 'min_opens', or 'leq' is required")
     key = given[0]
     value = data[key]
     if key == "opens":
-        if not isinstance(value, list) or not all(isinstance(o, list) for o in value):
-            raise SpaceFormatError("'opens' must be an array of arrays of strings")
-        return FiniteSpace(tuple(points), tuple(tuple(o) for o in value))
+        message = "'opens' must be an array of arrays of strings"
+        if not isinstance(value, list):
+            raise SpaceFormatError(message)
+        return FiniteSpace(points, tuple(_strings(o, message) for o in value))
     if key == "min_opens":
+        message = "'min_opens' must map each point to an array of points"
         if not isinstance(value, dict):
-            raise SpaceFormatError("'min_opens' must map each point to an array of points")
-        return from_min_opens(points, {k: tuple(v) for k, v in value.items()})
-    if not isinstance(value, list) or not all(
-        isinstance(p, list) and len(p) == 2 for p in value
-    ):
-        raise SpaceFormatError("'leq' must be an array of two-element arrays")
-    preorder = preorder_from_relation(points, [(x, y) for x, y in value])
-    return from_preorder(preorder)
+            raise SpaceFormatError(message)
+        return from_min_opens(points, {k: _strings(v, message) for k, v in value.items()})
+    message = "'leq' must be an array of two-element arrays of strings"
+    if not isinstance(value, list):
+        raise SpaceFormatError(message)
+    pairs = [_strings(pair, message) for pair in value]
+    if any(len(pair) != 2 for pair in pairs):
+        raise SpaceFormatError(message)
+    return from_preorder(preorder_from_relation(points, pairs))
 
 
 def load_space(path: str | Path) -> FiniteSpace:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise SpaceFormatError(f"not valid JSON: {exc}") from exc
     return space_from_dict(data)
 

@@ -1,8 +1,14 @@
-"""Small exact integer matrices.
+"""Exact integer matrices stored by column.
 
-Plain tuples of Python ints, so there is no overflow and no dtype trap.
+Entries are Python ints, so there is no overflow and no dtype trap.  Each
+column keeps only its nonzero entries, as (row, value) pairs in ascending
+row order: a boundary map of an order complex has k+1 nonzeros per column,
+so products and transposes cost what the nonzeros cost, not rows x cols.
 Shapes are explicit even when a dimension is zero, which matters for the
 empty boundary maps at the ends of a chain complex.
+
+The constructor, `from_rows`, `entries` and `to_lists` are the only dense
+views; they serve the I/O edge and the test oracles.
 """
 
 from __future__ import annotations
@@ -11,20 +17,53 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IntMatrix:
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __post_init__(self):
-        entries = tuple(tuple(int(x) for x in row) for row in self.entries)
-        if len(entries) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(entries)}")
-        for row in entries:
-            if len(row) != self.cols:
-                raise ValueError(f"expected {self.cols} columns, got {len(row)}")
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, rows: int, cols: int, entries: Iterable[Iterable[int]]):
+        """Dense constructor: `entries` lists the rows."""
+        dense = tuple(tuple(int(x) for x in row) for row in entries)
+        if len(dense) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(dense)}")
+        for row in dense:
+            if len(row) != cols:
+                raise ValueError(f"expected {cols} columns, got {len(row)}")
+        columns = tuple(tuple((i, row[j]) for i, row in enumerate(dense) if row[j]) for j in range(cols))
+        self._set(rows, cols, columns)
+
+    def _set(self, rows: int, cols: int, columns: tuple) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "columns", columns)
+
+    @classmethod
+    def _canonical(cls, rows: int, cols: int, columns: tuple) -> "IntMatrix":
+        """Wrap columns that are already sorted, in range and free of zeros."""
+        matrix = cls.__new__(cls)
+        matrix._set(rows, cols, columns)
+        return matrix
+
+    @classmethod
+    def from_columns(cls, rows: int, cols: int, columns: Iterable[Iterable[tuple[int, int]]]) -> "IntMatrix":
+        """Sparse constructor: column j lists (row, value) pairs.
+
+        Pairs in one column may come in any order; values at a repeated row
+        add up and zero results are dropped.
+        """
+        data = []
+        for column in columns:
+            total: dict[int, int] = {}
+            for i, x in column:
+                if not 0 <= i < rows:
+                    raise ValueError(f"row index {i} outside a matrix with {rows} rows")
+                total[i] = total.get(i, 0) + int(x)
+            data.append(tuple(sorted((i, x) for i, x in total.items() if x)))
+        if len(data) != cols:
+            raise ValueError(f"expected {cols} columns, got {len(data)}")
+        return cls._canonical(rows, cols, tuple(data))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "IntMatrix":
@@ -39,30 +78,43 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return cls._canonical(rows, cols, ((),) * cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return cls._canonical(n, n, tuple(((j, 1),) for j in range(n)))
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows, as a hashable tuple of int tuples."""
+        return tuple(map(tuple, self.to_lists()))
 
     def transpose(self) -> "IntMatrix":
-        data = tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
-        return IntMatrix(self.cols, self.rows, data)
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(self.rows)]
+        for j, column in enumerate(self.columns):
+            for i, x in column:
+                rows[i].append((j, x))
+        return IntMatrix._canonical(self.cols, self.rows, tuple(map(tuple, rows)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        data = []
-        for i in range(self.rows):
-            row = self.entries[i]
-            out = []
-            for j in range(other.cols):
-                out.append(sum(row[k] * other.entries[k][j] for k in range(self.cols)))
-            data.append(tuple(out))
-        return IntMatrix(self.rows, other.cols, tuple(data))
+        left = self.columns
+        product = []
+        for column in other.columns:
+            total: dict[int, int] = {}
+            for k, y in column:
+                for i, x in left[k]:
+                    total[i] = total.get(i, 0) + x * y
+            product.append(tuple(sorted((i, x) for i, x in total.items() if x)))
+        return IntMatrix._canonical(self.rows, other.cols, tuple(product))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self.columns)
 
     def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
+        dense = [[0] * self.cols for _ in range(self.rows)]
+        for j, column in enumerate(self.columns):
+            for i, x in column:
+                dense[i][j] = x
+        return dense

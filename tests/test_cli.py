@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,7 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from finsplice import from_preorder, preorder_from_relation
 from finsplice.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -190,3 +194,89 @@ def test_spliced_report_golden_file(capsys):
     assert code == 0
     golden = (GOLDEN / "dup_spliced_report.json").read_text(encoding="utf-8")
     assert out == golden
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"points": ["a", "b"], "min_opens": {"a": None, "b": ["b"]}},
+        {"points": ["a", "b"], "min_opens": {"a": 5, "b": ["b"]}},
+        {"points": ["a", "b"], "min_opens": {"a": "ab", "b": ["b"]}},
+        {"points": ["a", "b"], "opens": [[], ["a", "b"], [["a"]]]},
+        {"points": ["a", "b"], "leq": [["a", ["b"]]]},
+    ],
+    ids=["min_opens-null", "min_opens-number", "min_opens-string", "opens-nested", "leq-nested"],
+)
+def test_malformed_members_are_input_errors(capsys, tmp_path, document):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, _, err = run(capsys, "decompose", "--input", str(path))
+    assert code == 2
+    assert "input error" in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100000], ids=["not-utf8", "deep-nesting"])
+def test_unreadable_json_is_an_input_error(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, _, err = run(capsys, "decompose", "--input", str(path))
+    assert code == 2
+    assert "not valid JSON" in err
+
+
+POINT_NAMES = ("a", "b", "c", "d")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(POINT_NAMES + ("", "z")),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(POINT_NAMES), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def space_documents(draw):
+    """A small space in one of the three file forms, sometimes with a field broken."""
+    points = list(POINT_NAMES[: draw(st.integers(1, 4))])
+    pairs = draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from(points)), max_size=5))
+    space = from_preorder(preorder_from_relation(points, pairs))
+    form = draw(st.sampled_from(("opens", "min_opens", "leq")))
+    document = {"points": points}
+    if form == "opens":
+        document["opens"] = [list(o) for o in space.opens]
+    elif form == "min_opens":
+        document["min_opens"] = {
+            p: [q for q in points if all(q in o for o in space.opens if p in o)] for p in points
+        }
+    else:
+        document["leq"] = [list(pair) for pair in pairs]
+    if draw(st.booleans()):
+        field = draw(st.sampled_from(("points", form, "format")))
+        document[field] = draw(json_values)
+    return document
+
+
+file_contents = st.one_of(
+    space_documents().map(json.dumps),
+    json_values.map(json.dumps),
+    st.text(alphabet='{}[]":,ab 0', max_size=20),
+).map(str.encode) | st.binary(max_size=8)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    file_contents,
+    st.sampled_from(("decompose", "homology", "spliced")),
+    st.integers(-4, 4),
+    st.integers(-2, 8),
+    st.booleans(),
+)
+def test_cli_is_total(tmp_path_factory, content, command, length, max_degree, verify):
+    path = tmp_path_factory.getbasetemp() / "totality.json"
+    path.write_bytes(content)
+    argv = [command, "--input", str(path), "--format", "json"]
+    if command == "spliced":
+        argv += ["--length", str(length), "--max-degree", str(max_degree)]
+        if verify:
+            argv.append("--verify-theorem")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3)

@@ -152,6 +152,18 @@ def test_chain_complex_rejects_bad_composition():
         ChainComplex("homological", (("x",), ("y",), ("z",)), (m, m))
 
 
+@pytest.mark.parametrize("direction", ["homological", "cohomological"])
+def test_chain_complex_rejects_composite_nonzero_off_the_corner(direction):
+    # Shapes 2x2 and 2x1 read either way; the composite is zero except at
+    # row 1, column 0 (homological) or row 0, column 1 (cohomological).
+    first = IntMatrix.from_rows([[0, 0], [0, 1]])
+    second = IntMatrix.from_rows([[0], [1]])
+    basis = (("x", "y"), ("u", "v"), ("w",))
+    maps = (first, second if direction == "homological" else second.transpose())
+    with pytest.raises(ValueError, match="do not compose to zero"):
+        ChainComplex(direction, basis, maps)
+
+
 def test_poset_part_is_subcomplex_everywhere(pipelines):
     for data in pipelines:
         assert is_subcomplex(data.sub_complex, data.ambient_complex)

@@ -16,8 +16,10 @@ from finsplice import (
     build_pipeline,
     chain_complex,
     cochain,
+    from_preorder,
     group_at,
     order_complex,
+    preorder_from_relation,
     rational_rank,
     smith_normal_form,
     specialisation_preorder,
@@ -135,6 +137,49 @@ def test_snf_properties(m):
         assert _unimodular(left)
     if m.cols:
         assert _unimodular(right)
+
+
+unit_biased_matrices = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda shape: st.lists(
+        st.lists(
+            st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -2, 3, 6, -6)),
+            min_size=shape[1],
+            max_size=shape[1],
+        ),
+        min_size=shape[0],
+        max_size=shape[0],
+    ).map(lambda rows: IntMatrix.from_rows(rows, cols=shape[1]))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_biased_matrices)
+def test_snf_without_transforms_matches_oracles(m):
+    diagonal = smith_normal_form(m).diagonal
+    assert diagonal == minors_invariant_factors(m)
+    assert diagonal == smith_normal_form(m, want_transforms=True).diagonal
+
+
+def _layered_with_twin():
+    """Four levels of three points, consecutive levels complete bipartite, b0 doubled."""
+    levels = [[f"{name}{j}" for j in range(3)] for name in "abcd"]
+    points = [p for level in levels for p in level] + ["b0'"]
+    pairs = [(x, y) for lower, upper in zip(levels, levels[1:]) for x in lower for y in upper]
+    pairs += [("b0", "b0'"), ("b0'", "b0")]
+    return from_preorder(preorder_from_relation(points, pairs))
+
+
+def test_snf_without_transforms_on_layered_pipeline():
+    data = build_pipeline(_layered_with_twin())
+    assert data.decomposition.complementary == ("b0'",)
+    checked = 0
+    for cc in (data.poset_chain, data.ambient_chain, data.relative_chain, data.relative_cochain):
+        for m in cc.maps:
+            diagonal = smith_normal_form(m).diagonal
+            assert diagonal == smith_normal_form(m, want_transforms=True).diagonal
+            assert len(diagonal) == rational_rank(m)
+            checked += 1
+    assert checked == 12
 
 
 def test_group_presentation_validation():

@@ -1,0 +1,96 @@
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from finsplice import IntMatrix
+
+
+def dense(max_dim=5, values=st.integers(-4, 4)):
+    """Row lists of a random shape, zero dimensions included."""
+    return st.tuples(st.integers(0, max_dim), st.integers(0, max_dim)).flatmap(
+        lambda shape: st.tuples(
+            st.just(shape[1]),
+            st.lists(st.lists(values, min_size=shape[1], max_size=shape[1]), min_size=shape[0], max_size=shape[0]),
+        )
+    )
+
+
+def naive_product(a, b, inner, cols):
+    return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)] for row in a]
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense())
+def test_from_rows_round_trips(case):
+    cols, rows = case
+    m = IntMatrix.from_rows(rows, cols=cols)
+    assert (m.rows, m.cols) == (len(rows), cols)
+    assert m.to_lists() == rows
+    assert m.entries == tuple(map(tuple, rows))
+    hash(m.entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense(), st.randoms(use_true_random=False))
+def test_equality_and_hash_do_not_depend_on_construction(case, rng):
+    cols, rows = case
+    from_rows = IntMatrix.from_rows(rows, cols=cols)
+    dense_ctor = IntMatrix(len(rows), cols, rows)
+    columns = []
+    for j in range(cols):
+        pairs = [(i, row[j]) for i, row in enumerate(rows)]
+        pairs += [(i, 1) for i, _ in pairs[:2]] + [(i, -1) for i, _ in pairs[:2]]  # cancelling extras
+        rng.shuffle(pairs)
+        columns.append(pairs)
+    sparse = IntMatrix.from_columns(len(rows), cols, columns)
+    twice = from_rows.transpose().transpose()
+    for other in (dense_ctor, sparse, twice):
+        assert other == from_rows
+        assert hash(other) == hash(from_rows)
+    assert len({from_rows, dense_ctor, sparse, twice}) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.randoms(use_true_random=False))
+def test_mul_matches_naive_dense_product(n_rows, inner, n_cols, rng):
+    a = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(inner)] for _ in range(n_rows)]
+    b = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n_cols)] for _ in range(inner)]
+    product = IntMatrix.from_rows(a, cols=inner).mul(IntMatrix.from_rows(b, cols=n_cols))
+    assert (product.rows, product.cols) == (n_rows, n_cols)
+    assert product.to_lists() == naive_product(a, b, inner, n_cols)
+    assert product.is_zero() == all(x == 0 for row in product.to_lists() for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense())
+def test_transpose_is_the_dense_transpose_and_an_involution(case):
+    cols, rows = case
+    m = IntMatrix.from_rows(rows, cols=cols)
+    t = m.transpose()
+    assert (t.rows, t.cols) == (cols, len(rows))
+    assert t.to_lists() == [[row[j] for row in rows] for j in range(cols)]
+    assert t.transpose() == m
+
+
+def test_mul_rejects_shape_mismatch():
+    with pytest.raises(ValueError):
+        IntMatrix.zeros(2, 3).mul(IntMatrix.zeros(2, 3))
+
+
+def test_constructors_reject_bad_shapes():
+    with pytest.raises(ValueError):
+        IntMatrix(2, 2, [[1, 0], [0]])
+    with pytest.raises(ValueError):
+        IntMatrix(3, 1, [[1], [0]])
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns(2, 1, [[(2, 1)]])
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns(2, 2, [[(0, 1)]])
+
+
+def test_zeros_and_identity_are_sparse():
+    assert IntMatrix.zeros(3, 2).columns == ((), ())
+    assert IntMatrix.zeros(3, 2) == IntMatrix.from_rows([[0, 0]] * 3)
+    assert IntMatrix.identity(3) == IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert IntMatrix.zeros(0, 4).entries == ()
+    assert IntMatrix.zeros(4, 0).entries == ((),) * 4
+
