@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (a formula mismatch is a finding, not a failure),
 2 input errors (unreadable or invalid space files), 3 usage errors
-(bad flags, unknown fixtures, zero length).
+(bad flags, unknown fixtures, zero length), 4 internal errors (any other
+exception, reported as one line on stderr instead of a traceback).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .splice import compare, splice, splice_negative, spliced_cohomology, theore
 
 USAGE_ERROR = 3
 INPUT_ERROR = 2
+INTERNAL_ERROR = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,6 +264,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SpaceFormatError, TopologyError, InvalidPreorder, OSError) as exc:
         print(f"finsplice: input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"finsplice: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

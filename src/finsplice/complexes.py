@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .matrices import IntMatrix
@@ -102,7 +101,9 @@ def order_complex(
 
     relation "leq" uses the preorder itself, "strict" its strictification.
     The restriction must be antisymmetric; callers with an indistinguishable
-    pair must decompose first.
+    pair must decompose first.  Chains are enumerated depth first: each
+    chain starts at one point and grows only by strict successors of its
+    last point, so every chain is listed exactly once, already ascending.
     """
     if relation not in ("leq", "strict"):
         raise ValueError(f"unknown relation selector {relation!r}")
@@ -116,18 +117,15 @@ def order_complex(
         if rel.leq(x, y) and rel.leq(y, x):
             raise NotAPoset(x, y)
 
-    def ascending(chain: tuple[str, ...]) -> tuple[str, ...]:
-        return tuple(sorted(chain, key=cmp_to_key(lambda a, b: -1 if rel.leq(a, b) else 1)))
-
-    faces_by_dim = []
-    for size in range(1, len(pts) + 1):
-        faces = []
-        for combo in itertools.combinations(pts, size):
-            if all(rel.leq(x, y) or rel.leq(y, x) for x, y in itertools.combinations(combo, 2)):
-                faces.append(ascending(combo))
-        if not faces:
-            break
-        faces_by_dim.append(tuple(sorted(faces)))
+    above = {x: [y for y in pts if y != x and rel.leq(x, y)] for x in pts}
+    faces_by_dim: list[list[tuple[str, ...]]] = []
+    stack = [(x,) for x in pts]
+    while stack:
+        chain = stack.pop()
+        if len(chain) > len(faces_by_dim):
+            faces_by_dim.append([])
+        faces_by_dim[len(chain) - 1].append(chain)
+        stack.extend(chain + (y,) for y in above[chain[-1]])
     return SimplicialComplex(pts, tuple(faces_by_dim))
 
 

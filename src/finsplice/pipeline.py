@@ -4,7 +4,10 @@ Builds, in order: the specialisation preorder, its strictification, the
 poset/complementary decomposition, the three order complexes (poset part
 under <=, ambient under the strict order, poset part under the strict
 order), the integer chain complexes, the relative complex of the ambient
-pair, and the two cochain complexes that feed the splicer.
+pair, and the two cochain complexes that feed the splicer.  The strict
+order is computed once and read by both strict complexes; the poset part
+under <= is built from the preorder itself, so the check that it equals
+the strict one compares two complexes built from different relations.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ def build_pipeline(space: FiniteSpace, policy: str = "least") -> PipelineData:
     strict = strictify(preorder)
     decomposition = decompose(preorder, policy)
     poset_complex = order_complex(preorder, decomposition.representatives, relation="leq")
-    ambient_complex = order_complex(preorder, relation="strict")
-    sub_complex = order_complex(preorder, decomposition.representatives, relation="strict")
+    ambient_complex = order_complex(strict, relation="leq")
+    sub_complex = order_complex(strict, decomposition.representatives, relation="leq")
     # On the representatives the two relations coincide face for face.
     assert poset_complex == sub_complex
     poset_chain = chain_complex(poset_complex)

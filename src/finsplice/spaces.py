@@ -6,6 +6,11 @@ specialisation preorder sets x <= y exactly when x lies in the closure of
 Alexandrov correspondence identifies finite spaces with preorders, and
 `from_preorder` is the inverse of `specialisation_preorder` under the
 up-set convention (the round trip is checked by the test suite).
+
+Subsets of the points are bitmasks over the sorted points.  Relation input
+is closed by Warshall's algorithm on bitmask rows, and `from_preorder`
+builds the opens as unions of the minimal opens (the up-sets), so neither
+enumerates the 2^n subsets of the points.
 """
 
 from __future__ import annotations
@@ -159,14 +164,6 @@ class Preorder:
     def leq(self, x: str, y: str) -> bool:
         return (x, y) in self.pairs
 
-    def restrict(self, subset: Iterable[str]) -> "Preorder":
-        keep = set(subset)
-        for p in keep:
-            if p not in set(self.points):
-                raise UnknownPoint(p)
-        pairs = {(x, y) for x, y in self.pairs if x in keep and y in keep}
-        return Preorder(tuple(sorted(keep)), frozenset(pairs))
-
 
 def validate_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> FiniteSpace:
     """Check the open-set family axioms and return the validated space."""
@@ -206,19 +203,21 @@ def specialisation_preorder(space: FiniteSpace) -> Preorder:
 def from_preorder(preorder: Preorder) -> FiniteSpace:
     """The finite space whose opens are the up-closed sets of the relation.
 
-    With this convention the specialisation preorder of the result is the
-    input relation again.
+    The up-set of x is the minimal open of x, and every open is a union of
+    minimal opens, so the family is the union-closure of the distinct
+    up-sets (plus the empty set): the work grows with the number of opens,
+    not with the 2^n subsets of the points.  With this convention the
+    specialisation preorder of the result is the input relation again.
     """
     pts = preorder.points
-    n = len(pts)
     index = {p: i for i, p in enumerate(pts)}
-    up = [0] * n
+    up = [0] * len(pts)
     for x, y in preorder.pairs:
         up[index[x]] |= 1 << index[y]
-    opens = []
-    for m in range(1 << n):
-        if all(up[i] & ~m == 0 for i in range(n) if m >> i & 1):
-            opens.append(tuple(p for i, p in enumerate(pts) if m >> i & 1))
+    masks = {0}
+    for u in set(up):
+        masks |= {m | u for m in masks}
+    opens = (tuple(p for i, p in enumerate(pts) if m >> i & 1) for m in masks)
     return FiniteSpace(pts, tuple(opens))
 
 
@@ -261,22 +260,25 @@ def from_min_opens(points: Iterable[str], min_opens: Mapping[str, Iterable[str]]
 
 
 def preorder_from_relation(points: Iterable[str], pairs: Iterable[tuple[str, str]]) -> Preorder:
-    """Reflexive-transitive closure of an arbitrary relation on the points."""
+    """Reflexive-transitive closure of an arbitrary relation on the points.
+
+    Warshall's algorithm on bitmask rows: after step k, row x holds every y
+    reachable from x through intermediate points among the first k.
+    """
     pts = tuple(sorted(str(p) for p in points))
-    known = set(pts)
-    rel = {(str(x), str(y)) for x, y in pairs}
-    for x, y in rel:
-        if x not in known:
+    index = {p: i for i, p in enumerate(pts)}
+    reach = [1 << i for i in range(len(pts))]
+    for x, y in pairs:
+        x, y = str(x), str(y)
+        if x not in index:
             raise UnknownPoint(x)
-        if y not in known:
+        if y not in index:
             raise UnknownPoint(y)
-    rel |= {(p, p) for p in pts}
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(rel):
-            for y2, z in list(rel):
-                if y == y2 and (x, z) not in rel:
-                    rel.add((x, z))
-                    changed = True
-    return Preorder(pts, frozenset(rel))
+        reach[index[x]] |= 1 << index[y]
+    for k in range(len(pts)):
+        bit, row_k = 1 << k, reach[k]
+        for i, row in enumerate(reach):
+            if row & bit:
+                reach[i] = row | row_k
+    rel = frozenset((x, y) for x, row in zip(pts, reach) for j, y in enumerate(pts) if row >> j & 1)
+    return Preorder(pts, rel)

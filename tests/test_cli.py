@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finsplice import from_preorder, preorder_from_relation
+from finsplice import cli, from_preorder, preorder_from_relation
 from finsplice.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -154,6 +154,24 @@ def test_random_is_reproducible(capsys):
     code, second, _ = run(capsys, "decompose", "--random", "6", "--seed", "11", "--format", "json")
     assert code == 0
     assert first == second
+
+
+@pytest.mark.parametrize("points", ["27", "60"])
+def test_random_space_on_many_points_finishes(capsys, points):
+    code, out, _ = run(capsys, "decompose", "--random", points, "--seed", "1")
+    assert code == 0
+    assert out.startswith(f"points: {points} ")
+
+
+def test_internal_error_is_one_line_and_code_4(capsys, monkeypatch):
+    def broken(space):
+        raise RuntimeError("broken\nstate")
+
+    monkeypatch.setattr(cli, "build_pipeline", broken)
+    code, out, err = run(capsys, "decompose", "--fixture", "SIERP")
+    assert code == cli.INTERNAL_ERROR == 4
+    assert out == ""
+    assert err == "finsplice: internal error: RuntimeError: broken state\n"
 
 
 def _run_cli_subprocess(args, hashseed):

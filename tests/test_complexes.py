@@ -1,4 +1,8 @@
+import itertools
+from functools import cmp_to_key
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finsplice import (
     ChainComplex,
@@ -15,14 +19,55 @@ from finsplice import (
     chain_complex,
     cochain,
     decompose,
+    equivalence_classes,
     is_subcomplex,
     order_complex,
     preorder_from_relation,
     relative_chain_complex,
     specialisation_preorder,
+    strictify,
     zero_complex,
 )
 from finsplice.complexes import HOMOLOGICAL
+from test_spaces import relations
+
+
+def oracle_order_complex(preorder, points=None, relation="leq"):
+    """Chains found by testing every combination of points for pairwise comparability."""
+    rel = preorder if relation == "leq" else strictify(preorder)
+    pts = tuple(sorted(points)) if points is not None else preorder.points
+    for x, y in itertools.combinations(pts, 2):
+        if rel.leq(x, y) and rel.leq(y, x):
+            raise NotAPoset(x, y)
+
+    def ascending(chain):
+        return tuple(sorted(chain, key=cmp_to_key(lambda a, b: -1 if rel.leq(a, b) else 1)))
+
+    faces_by_dim = []
+    for size in range(1, len(pts) + 1):
+        faces = []
+        for combo in itertools.combinations(pts, size):
+            if all(rel.leq(x, y) or rel.leq(y, x) for x, y in itertools.combinations(combo, 2)):
+                faces.append(ascending(combo))
+        if not faces:
+            break
+        faces_by_dim.append(tuple(sorted(faces)))
+    return SimplicialComplex(pts, tuple(faces_by_dim))
+
+
+def outcome(build, *args):
+    """The complex, or the NotAPoset witness the construction raised."""
+    try:
+        return build(*args)
+    except NotAPoset as exc:
+        return exc.witness
+
+
+def assert_order_complexes_match_oracle(preorder, point_sets):
+    for points in (None, *point_sets):
+        for relation in ("leq", "strict"):
+            args = (preorder, points, relation)
+            assert outcome(order_complex, *args) == outcome(oracle_order_complex, *args), args
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +232,25 @@ def test_euler_characteristic_matches_betti(pipelines):
         ):
             betti = sum((-1) ** k * g.rank for k, g in enumerate(all_groups(cc)))
             assert sc.euler_characteristic() == betti
+
+
+def test_order_complex_matches_combination_enumerator_on_corpus(corpus):
+    spaces, _ = corpus
+    for space in spaces:
+        preorder = specialisation_preorder(space)
+        assert_order_complexes_match_oracle(preorder, [decompose(preorder).representatives])
+
+
+@settings(max_examples=150, deadline=None)
+@given(relations(), st.lists(st.booleans(), min_size=8, max_size=8))
+def test_order_complex_matches_combination_enumerator_on_drawn_relations(relation, keep):
+    preorder = preorder_from_relation(*relation)
+    subset = tuple(p for p, flag in zip(preorder.points, keep) if flag)
+    classes = [cls for cls in equivalence_classes(preorder) if len(cls) > 1]
+    assert_order_complexes_match_oracle(
+        preorder, [decompose(preorder).representatives, subset, *classes]
+    )
+    for cls in classes:
+        with pytest.raises(NotAPoset) as info:
+            order_complex(preorder, cls, relation="leq")
+        assert info.value.witness == cls[:2]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +32,48 @@ def oracle_closure(space, subset):
         if target <= candidate and (best is None or len(candidate) < len(best)):
             best = candidate
     return tuple(sorted(best))
+
+
+def oracle_up_set_opens(preorder):
+    """Every up-closed subset of the points, found by scanning all 2^n subsets."""
+    pts = preorder.points
+    n = len(pts)
+    index = {p: i for i, p in enumerate(pts)}
+    up = [0] * n
+    for x, y in preorder.pairs:
+        up[index[x]] |= 1 << index[y]
+    opens = []
+    for m in range(1 << n):
+        if all(up[i] & ~m == 0 for i in range(n) if m >> i & 1):
+            opens.append(tuple(p for i, p in enumerate(pts) if m >> i & 1))
+    return tuple(sorted(opens))
+
+
+def oracle_relation_closure(points, pairs):
+    """Reflexive-transitive closure by a fixed-point loop over all pairs of pairs."""
+    rel = {(str(x), str(y)) for x, y in pairs} | {(p, p) for p in points}
+    changed = True
+    while changed:
+        changed = False
+        for x, y in list(rel):
+            for y2, z in list(rel):
+                if y == y2 and (x, z) not in rel:
+                    rel.add((x, z))
+                    changed = True
+    return frozenset(rel)
+
+
+@st.composite
+def relations(draw, max_points=8):
+    """Points and a random relation on them; points drawn into one class form a cycle."""
+    n = draw(st.integers(min_value=1, max_value=max_points))
+    points = point_names(n)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from(points)), max_size=2 * n))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    for label in set(labels):
+        members = [p for p, other in zip(points, labels) if other == label]
+        pairs += list(zip(members, members[1:] + members[:1]))
+    return points, pairs
 
 
 def test_sierp_is_valid():
@@ -167,3 +211,40 @@ def preorders(draw):
 @given(preorders())
 def test_round_trip_is_identity(preorder):
     assert specialisation_preorder(from_preorder(preorder)) == preorder
+
+
+def test_from_preorder_matches_subset_scan_on_corpus(corpus):
+    spaces, _ = corpus
+    for space in spaces:
+        preorder = specialisation_preorder(space)
+        assert from_preorder(preorder).opens == oracle_up_set_opens(preorder) == space.opens
+
+
+def test_relation_closure_matches_fixed_point_on_corpus(corpus):
+    spaces, _ = corpus
+    rng = random.Random(7)
+    for space in spaces:
+        pairs = sorted(specialisation_preorder(space).pairs)
+        sample = rng.sample(pairs, rng.randint(0, len(pairs)))
+        closed = preorder_from_relation(space.points, sample)
+        assert closed.pairs == oracle_relation_closure(space.points, sample)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relations())
+def test_fast_paths_match_oracles_on_drawn_relations(relation):
+    points, pairs = relation
+    preorder = preorder_from_relation(points, pairs)
+    assert preorder.pairs == oracle_relation_closure(points, pairs)
+    assert from_preorder(preorder).opens == oracle_up_set_opens(preorder)
+
+
+def test_blown_up_sierp_on_thirty_points_has_three_opens():
+    # Each point of SIERP copied 15 times; a 2^30 subset scan is out of reach.
+    points = point_names(30)
+    low, high = points[:15], points[15:]
+    pairs = [(low[0], high[0])]
+    for cls in (low, high):
+        pairs += list(zip(cls, cls[1:] + cls[:1]))
+    space = from_preorder(preorder_from_relation(points, pairs))
+    assert space.opens == ((), points, high)
