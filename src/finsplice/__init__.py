@@ -26,9 +26,6 @@ from .homology import (
     GroupPresentation,
     TRIVIAL_GROUP,
     all_groups,
-    cokernel_group,
-    group_at,
-    kernel_group,
     rational_rank,
     smith_normal_form,
 )

@@ -14,11 +14,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .matrices import IntMatrix
 from .orders import strictify
 from .spaces import Preorder, UnknownPoint
+
+if TYPE_CHECKING:
+    from .homology import SmithTable
 
 HOMOLOGICAL = "homological"
 COHOMOLOGICAL = "cohomological"
@@ -205,6 +209,13 @@ class ChainComplex:
     def differential_into(self, k: int) -> IntMatrix:
         """The differential whose codomain is degree k."""
         return self.map_between(k if self.direction == HOMOLOGICAL else k - 1)
+
+    @cached_property
+    def smith(self) -> SmithTable:
+        """Dimensions and Smith diagonals of the differentials, built on first use."""
+        from .homology import SmithTable  # homology imports this module
+
+        return SmithTable.of(self)
 
 
 def zero_complex(direction: str = COHOMOLOGICAL) -> ChainComplex:

@@ -1,10 +1,9 @@
 """Finitely generated abelian groups of integer chain complexes.
 
 Groups are presented as a free rank plus invariant factors.  Everything
-reduces to the Smith normal form of the differentials: the free rank of
-the group at degree k is dim(k) minus the ranks of the outgoing and
-incoming maps, and the torsion is the set of invariant factors above 1 of
-the incoming map.
+reduces to the Smith normal form of the differentials, computed once per
+complex into a `SmithTable`, from which `SmithTable.group` reads every
+group: kernels, cokernels and kernel modulo image alike.
 
 The Smith normal form first eliminates +-1 pivots on the column-sparse
 matrix, as in Dumas, Saunders and Villard, "On efficient sparse integer
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .complexes import ChainComplex
+from .complexes import HOMOLOGICAL, ChainComplex
 from .matrices import IntMatrix
 
 
@@ -287,53 +286,45 @@ def rational_rank(matrix: IntMatrix) -> int:
     return rank
 
 
-def group_at(complex_: ChainComplex, k: int) -> GroupPresentation:
-    """Kernel modulo image at degree k.
+@dataclass(frozen=True)
+class SmithTable:
+    """Dimensions and Smith diagonals of a complex; diagonals[i] is that of maps[i].
 
-    Free rank is the kernel dimension of the outgoing differential minus
-    the rank of the incoming one; torsion is the invariant factors above 1
-    of the incoming differential.  Degrees outside the support are trivial.
+    `ChainComplex.smith` builds it on first use and keeps it.
+
+    >>> from finsplice import PSEUDO_S1, build_pipeline
+    >>> str(build_pipeline(PSEUDO_S1).poset_cochain.smith.group(1))
+    'Z'
     """
-    if k < 0 or k > complex_.top_degree:
-        return TRIVIAL_GROUP
-    outgoing_rank = len(smith_normal_form(complex_.differential_from(k)).diagonal)
-    incoming = smith_normal_form(complex_.differential_into(k)).diagonal
-    rank = complex_.dim(k) - outgoing_rank - len(incoming)
-    assert rank >= 0
-    return GroupPresentation(rank, tuple(d for d in incoming if d > 1))
+
+    direction: str
+    dims: tuple[int, ...]
+    diagonals: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, complex_: ChainComplex) -> SmithTable:
+        diagonals = tuple(smith_normal_form(m).diagonal for m in complex_.maps)
+        return cls(complex_.direction, tuple(len(labels) for labels in complex_.basis), diagonals)
+
+    def group(self, k: int, outgoing: bool = True, incoming: bool = True) -> GroupPresentation:
+        """Kernel of the outgoing map modulo the image of the incoming one at degree k.
+
+        Free rank is dim(k) minus both ranks, torsion the invariant factors
+        above 1 of the incoming map.  Leaving a map out gives a kernel or a
+        cokernel.  Degrees outside the support are trivial.
+        """
+        if not 0 <= k < len(self.dims):
+            return TRIVIAL_GROUP
+        below = self.diagonals[k - 1] if k > 0 else ()
+        above = self.diagonals[k] if k < len(self.diagonals) else ()
+        out, into = (below, above) if self.direction == HOMOLOGICAL else (above, below)
+        out, into = out if outgoing else (), into if incoming else ()
+        rank = self.dims[k] - len(out) - len(into)
+        assert rank >= 0
+        return GroupPresentation(rank, tuple(d for d in into if d > 1))
 
 
 def all_groups(complex_: ChainComplex) -> tuple[GroupPresentation, ...]:
-    """Groups at every degree 0..top_degree, computing one SNF per map."""
-    top = complex_.top_degree
-    if top < 0:
-        return ()
-    diagonals = [smith_normal_form(complex_.map_between(i)).diagonal for i in range(top)]
-
-    def rank_of(i: int) -> int:
-        return len(diagonals[i]) if 0 <= i < top else 0
-
-    groups = []
-    for k in range(top + 1):
-        if complex_.direction == "homological":
-            out_rank, in_index = rank_of(k - 1), k
-        else:
-            out_rank, in_index = rank_of(k), k - 1
-        incoming = diagonals[in_index] if 0 <= in_index < top else ()
-        rank = complex_.dim(k) - out_rank - len(incoming)
-        assert rank >= 0
-        groups.append(GroupPresentation(rank, tuple(d for d in incoming if d > 1)))
-    return tuple(groups)
-
-
-def kernel_group(complex_: ChainComplex, k: int) -> GroupPresentation:
-    """Kernel of the differential leaving degree k (a free group)."""
-    rank = complex_.dim(k) - len(smith_normal_form(complex_.differential_from(k)).diagonal)
-    return GroupPresentation(rank)
-
-
-def cokernel_group(complex_: ChainComplex, k: int) -> GroupPresentation:
-    """Degree-k group modulo the image of the differential entering it."""
-    incoming = smith_normal_form(complex_.differential_into(k)).diagonal
-    rank = complex_.dim(k) - len(incoming)
-    return GroupPresentation(rank, tuple(d for d in incoming if d > 1))
+    """Groups at every degree 0..top_degree, read from the complex's table."""
+    table = complex_.smith
+    return tuple(table.group(k) for k in range(len(table.dims)))

@@ -10,7 +10,8 @@ up-set convention (the round trip is checked by the test suite).
 Subsets of the points are bitmasks over the sorted points.  Relation input
 is closed by Warshall's algorithm on bitmask rows, and `from_preorder`
 builds the opens as unions of the minimal opens (the up-sets), so neither
-enumerates the 2^n subsets of the points.
+enumerates the 2^n subsets of the points.  `from_min_opens` reduces its
+generators to the preorder they define and goes through `from_preorder`.
 """
 
 from __future__ import annotations
@@ -170,28 +171,24 @@ def validate_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> 
     return FiniteSpace(tuple(points), tuple(tuple(o) for o in opens))
 
 
-def closure(space: FiniteSpace, subset: Iterable[str]) -> tuple[str, ...]:
-    """Smallest closed set (complement of an open) containing the subset."""
-    target = space.mask_of(subset)
+def _closure_mask(space: FiniteSpace, target: int) -> int:
+    """Intersection of the closed sets (complements of opens) containing the target mask."""
     result = space._full
     for open_mask in space._masks:
         closed = space._full & ~open_mask
         if closed & target == target:
             result &= closed
-    return space.unmask(result)
+    return result
+
+
+def closure(space: FiniteSpace, subset: Iterable[str]) -> tuple[str, ...]:
+    """Smallest closed set (complement of an open) containing the subset."""
+    return space.unmask(_closure_mask(space, space.mask_of(subset)))
 
 
 def specialisation_preorder(space: FiniteSpace) -> Preorder:
     """The preorder with x <= y exactly when x lies in the closure of {y}."""
-    closures = {}
-    for y in space.points:
-        target = space.mask_of((y,))
-        result = space._full
-        for open_mask in space._masks:
-            closed = space._full & ~open_mask
-            if closed & target == target:
-                result &= closed
-        closures[y] = result
+    closures = {y: _closure_mask(space, space.mask_of((y,))) for y in space.points}
     pairs = set()
     for y in space.points:
         for i, x in enumerate(space.points):
@@ -225,16 +222,17 @@ def from_min_opens(points: Iterable[str], min_opens: Mapping[str, Iterable[str]]
     """Build a space from minimal-open-set generators.
 
     The family is the closure of the generators (plus the empty and full
-    sets) under pairwise union and intersection.  Every point must have a
-    generator that contains it.
+    sets) under union and intersection.  Its minimal open at x is the
+    intersection U_x of the generators containing x, so it is the space of
+    the preorder with x <= y exactly when y lies in U_x.  Every point must
+    lie in its own generator.
     """
     pts = tuple(sorted(str(p) for p in points))
     if set(min_opens) != set(pts):
         missing = sorted(set(pts) ^ set(min_opens))
         raise TopologyError(f"min_opens keys must match the point set (mismatch: {missing})")
     index = {p: i for i, p in enumerate(pts)}
-    full = (1 << len(pts)) - 1
-    masks = {0, full}
+    generators = []
     for p in pts:
         m = 0
         for q in min_opens[p]:
@@ -243,20 +241,15 @@ def from_min_opens(points: Iterable[str], min_opens: Mapping[str, Iterable[str]]
             m |= 1 << index[q]
         if not m >> index[p] & 1:
             raise TopologyError(f"minimal open of {p!r} does not contain it")
-        masks.add(m)
-    changed = True
-    while changed:
-        changed = False
-        for ma, mb in itertools.combinations(sorted(masks), 2):
-            for m in (ma | mb, ma & mb):
-                if m not in masks:
-                    masks.add(m)
-                    changed = True
-
-    def unmask(m: int) -> tuple[str, ...]:
-        return tuple(p for i, p in enumerate(pts) if m >> i & 1)
-
-    return FiniteSpace(pts, tuple(unmask(m) for m in sorted(masks)))
+        generators.append(m)
+    pairs = set()
+    for i, x in enumerate(pts):
+        smallest = (1 << len(pts)) - 1
+        for m in generators:
+            if m >> i & 1:
+                smallest &= m
+        pairs.update((x, y) for j, y in enumerate(pts) if smallest >> j & 1)
+    return from_preorder(Preorder(pts, frozenset(pairs)))
 
 
 def preorder_from_relation(points: Iterable[str], pairs: Iterable[tuple[str, str]]) -> Preorder:

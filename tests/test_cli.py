@@ -105,6 +105,23 @@ def test_spliced_negative_length(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_spliced_huge_length_costs_no_more_than_a_short_one(capsys, sign):
+    # Degrees 0..5 all lie in the first block once the length is at least 7,
+    # so the groups cannot depend on how much longer it is.
+    reports = []
+    for length in (7, 10**9):
+        code, out, _ = run(
+            capsys,
+            "spliced", "--fixture", "PSEUDO_S1_DUP", "--max-degree", "5", "--verify-theorem",
+            "--format", "json", "--length", str(sign * length),
+        )
+        assert code == 0
+        report = json.loads(out)
+        reports.append((report["groups"], report["theorem"]))
+    assert reports[0] == reports[1]
+
+
 def test_missing_input_source(capsys):
     code, _, _ = run(capsys, "decompose")
     assert code == 3

@@ -1,11 +1,9 @@
-import doctest
 import itertools
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import finsplice.homology
 from finsplice import (
     ChainComplex,
     GroupPresentation,
@@ -17,7 +15,6 @@ from finsplice import (
     chain_complex,
     cochain,
     from_preorder,
-    group_at,
     order_complex,
     preorder_from_relation,
     rational_rank,
@@ -56,11 +53,6 @@ def minors_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
         factors.append(g // previous)
         previous = g
     return tuple(factors)
-
-
-def test_docstring_examples():
-    failures, _ = doctest.testmod(finsplice.homology)
-    assert failures == 0
 
 
 @pytest.mark.parametrize(
@@ -194,17 +186,17 @@ def test_group_presentation_validation():
 
 def test_circle_groups():
     cc = chain_complex(order_complex(specialisation_preorder(PSEUDO_S1), relation="strict"))
-    assert group_at(cc, 0) == GroupPresentation(1)
-    assert group_at(cc, 1) == GroupPresentation(1)
-    assert group_at(cc, 6) == GroupPresentation()
+    assert cc.smith.group(0) == GroupPresentation(1)
+    assert cc.smith.group(1) == GroupPresentation(1)
+    assert cc.smith.group(6) == GroupPresentation()
     assert all_groups(cc) == (GroupPresentation(1), GroupPresentation(1))
 
 
 def test_relative_cochain_groups():
     data = build_pipeline(PSEUDO_S1_DUP)
     dual = data.relative_cochain
-    assert group_at(dual, 0) == GroupPresentation()
-    assert group_at(dual, 1) == GroupPresentation(1)
+    assert dual.smith.group(0) == GroupPresentation()
+    assert dual.smith.group(1) == GroupPresentation(1)
 
 
 def test_single_vertex_groups():
@@ -223,7 +215,7 @@ def test_torsion_from_presentation_matrix():
     labels = ("e1", "e2")
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
     cc = ChainComplex("homological", (labels, labels), (m,))
-    assert group_at(cc, 0) == GroupPresentation(0, (6,))
+    assert cc.smith.group(0) == GroupPresentation(0, (6,))
 
 
 def test_rank_two_routes_agree(pipelines):
@@ -233,7 +225,7 @@ def test_rank_two_routes_agree(pipelines):
                 outgoing = cc.differential_from(k)
                 incoming = cc.differential_into(k)
                 via_fractions = cc.dim(k) - rational_rank(outgoing) - rational_rank(incoming)
-                assert group_at(cc, k).rank == via_fractions
+                assert cc.smith.group(k).rank == via_fractions
 
 
 def test_cohomology_ranks_match_homology_when_torsion_free(pipelines):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -61,6 +62,28 @@ def oracle_relation_closure(points, pairs):
                     rel.add((x, z))
                     changed = True
     return frozenset(rel)
+
+
+def oracle_generated_opens(points, min_opens):
+    """Closure of the generators, the empty and the full set by a pairwise union/intersection fixed point."""
+    opens = {frozenset(), frozenset(points)} | {frozenset(g) for g in min_opens.values()}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.combinations(list(opens), 2):
+            for m in (a | b, a & b):
+                if m not in opens:
+                    opens.add(m)
+                    changed = True
+    return tuple(sorted(tuple(sorted(m)) for m in opens))
+
+
+@st.composite
+def generator_families(draw, max_points=7):
+    """Points and, for each point, a generator that contains it."""
+    points = point_names(draw(st.integers(min_value=1, max_value=max_points)))
+    generators = {p: {p} | set(draw(st.lists(st.sampled_from(points), max_size=len(points)))) for p in points}
+    return points, {p: tuple(sorted(g)) for p, g in generators.items()}
 
 
 @st.composite
@@ -168,6 +191,22 @@ def test_min_opens_generates_seven_opens():
 def test_min_opens_must_contain_their_point():
     with pytest.raises(TopologyError):
         from_min_opens(("a", "b"), {"a": ("b",), "b": ("b",)})
+
+
+def test_min_opens_checks_in_order():
+    with pytest.raises(TopologyError, match="keys must match"):
+        from_min_opens(("a", "b"), {"a": ("z",)})
+    with pytest.raises(UnknownPoint):
+        from_min_opens(("a", "b"), {"a": ("z",), "b": ("a",)})
+    with pytest.raises(TopologyError, match="does not contain"):
+        from_min_opens(("a", "b"), {"a": ("b",), "b": ("z",)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_families())
+def test_min_opens_match_fixed_point_closure(family):
+    points, min_opens = family
+    assert from_min_opens(points, min_opens).opens == oracle_generated_opens(points, min_opens)
 
 
 def test_preorder_invariants_on_corpus(corpus):

@@ -1,7 +1,10 @@
 import pytest
 
 from finsplice import (
+    FIXTURES,
+    ChainComplex,
     GroupPresentation,
+    IntMatrix,
     InvalidLength,
     LengthTooSmall,
     NoSources,
@@ -9,10 +12,7 @@ from finsplice import (
     SIERP,
     all_groups,
     build_pipeline,
-    cokernel_group,
     compare,
-    group_at,
-    kernel_group,
     limit_check,
     splice,
     splice_negative,
@@ -106,7 +106,7 @@ def test_dup_claimed_groups(dup_sources):
 
 def test_poset_input_claimed_groups(sierp_sources):
     claimed = theorem_claimed_groups(*sierp_sources, p_max=0)
-    assert claimed[0] == group_at(sierp_sources[0], 0)
+    assert claimed[0] == sierp_sources[0].smith.group(0)
     assert claimed[2] == TRIVIAL
     assert claimed[3] == TRIVIAL
     assert claimed[4] == TRIVIAL
@@ -116,6 +116,18 @@ def test_claimed_groups_beyond_top_degree_are_trivial(dup_sources):
     claimed = theorem_claimed_groups(*dup_sources, p_max=2)
     assert claimed[11] == TRIVIAL  # kernel of a zero map out of a zero group
     assert claimed[17] == TRIVIAL
+
+
+def test_claimed_groups_are_kernels_and_cokernels_where_stated():
+    # Ranks 1, 1, 2, 1 with d1 = (2, 0) and d2 = (0 1): at degree 2 the group is
+    # Z/2 but the cokernel Z + Z/2; at degree 3 the group is 0 but the kernel Z.
+    maps = (IntMatrix.zeros(1, 1), IntMatrix.from_rows([[2], [0]]), IntMatrix.from_rows([[0, 1]]))
+    cc = ChainComplex("cohomological", (("a",), ("b",), ("c", "d"), ("e",)), maps)
+    claimed = theorem_claimed_groups(cc, cc, p_max=1)
+    z_plus_z2 = GroupPresentation(1, (2,))
+    assert [claimed[k] for k in range(12)] == [
+        Z, z_plus_z2, Z, Z, z_plus_z2, Z, TRIVIAL, TRIVIAL, Z, TRIVIAL, TRIVIAL, TRIVIAL,
+    ]
 
 
 def test_dup_comparison(dup_sources):
@@ -196,8 +208,8 @@ def test_interior_degrees_agree_with_source(pipelines):
             for offset in range(1, block.span - 1):
                 spliced_degree = block.spliced_start + offset
                 source_degree = block.source_start + offset
-                assert group_at(spliced.assembled, spliced_degree) == group_at(
-                    source, source_degree
+                assert spliced.assembled.smith.group(spliced_degree) == source.smith.group(
+                    source_degree
                 )
 
 
@@ -211,11 +223,11 @@ def test_block_boundary_groups(pipelines):
                 source = spliced.sources[block.source]
                 first = block.spliced_start
                 last = block.spliced_start + block.span - 1
-                assert group_at(spliced.assembled, first) == kernel_group(
-                    source, block.source_start
+                assert spliced.assembled.smith.group(first) == source.smith.group(
+                    block.source_start, incoming=False
                 )
-                assert group_at(spliced.assembled, last) == cokernel_group(
-                    source, block.source_start + block.span - 1
+                assert spliced.assembled.smith.group(last) == source.smith.group(
+                    block.source_start + block.span - 1, outgoing=False
                 )
 
 
@@ -252,3 +264,22 @@ def test_homological_splice(pipelines):
             spliced.assembled.differential_into(k + 1)
         )
         assert through.is_zero()
+
+
+def test_closed_form_matches_assembled_complex(pipelines):
+    """`spliced_cohomology` against the groups of the directly assembled complex."""
+    degrees = 14
+    cases = 0
+    for data in [build_pipeline(space) for space in FIXTURES.values()] + pipelines[:250]:
+        c1, c2 = data.sources
+        splices = [
+            splice(sources, length)
+            for length in range(1, 6)
+            for sources in ((c1, c2), (c2, c1), (c1,), (data.poset_chain, data.relative_chain))
+        ]
+        splices += [splice_negative((c1, c2), -length) for length in range(1, 5)]
+        for spliced in splices:
+            direct = (all_groups(spliced.assembled) + (TRIVIAL,) * degrees)[:degrees]
+            assert spliced_cohomology(spliced, degrees - 1) == direct, (data.space, spliced.length)
+            cases += 1
+    assert cases == 254 * 24
