@@ -4,11 +4,16 @@ Exit codes: 0 success (a formula mismatch is a finding, not a failure),
 2 input errors (unreadable or invalid space files), 3 usage errors
 (bad flags, unknown fixtures, zero length), 4 internal errors (any other
 exception, reported as one line on stderr instead of a traceback).
+
+The argument parser is built once per process, on the first `main` call,
+and shared by every later call; each call parses into a fresh namespace,
+so nothing derived from one call's input reaches the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -47,7 +52,13 @@ def _input_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("table", "json"), default="table")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The shared parser: built on the first call, the same object after that.
+
+    Callers must not mutate it (add arguments, change defaults); every
+    later `main` call in the process would see the change.
+    """
     parser = _Parser(prog="finsplice", description="(co)homology of finite topological spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -12,6 +12,11 @@ is closed by Warshall's algorithm on bitmask rows, and `from_preorder`
 builds the opens as unions of the minimal opens (the up-sets), so neither
 enumerates the 2^n subsets of the points.  `from_min_opens` reduces its
 generators to the preorder they define and goes through `from_preorder`.
+
+An explicit family of opens is validated against the union-closure of its
+minimal opens (the intersection of the opens containing each point), which
+a topology equals; the pairwise union and intersection scan runs only on a
+family that is not a topology, to name the first offending pair.
 """
 
 from __future__ import annotations
@@ -61,6 +66,32 @@ class InvalidPreorder(ValueError):
     """Relation is not reflexive or not transitive over its points."""
 
 
+def _generated_by_minimal_opens(masks: set[int], n: int) -> bool:
+    """Whether a family holding the empty and the full set is a topology.
+
+    The minimal open of point i is the intersection of the members that
+    contain i.  A topology is exactly the union-closure of its minimal opens
+    plus the empty set; conversely, if the family equals that closure, the
+    intersection of two minimal opens is the union of the minimal opens of
+    its points, so the family is closed under intersection too.  The closure
+    is given up as soon as it outgrows the family, so the work is at most
+    n times the number of members.
+    """
+    minimal = [(1 << n) - 1] * n
+    for m in masks:
+        rest = m
+        while rest:
+            low = rest & -rest
+            minimal[low.bit_length() - 1] &= m
+            rest ^= low
+    closure = {0}
+    for u in set(minimal):
+        closure |= {m | u for m in closure}
+        if len(closure) > len(masks):
+            return False
+    return closure == masks
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
     """A validated finite topological space.
@@ -69,7 +100,11 @@ class FiniteSpace:
     order is the tie-breaker everywhere downstream.  Opens are stored
     canonically (each open sorted, family sorted, duplicates removed).
     Construction validates all topology axioms and raises a TopologyError
-    subclass naming the first violation.
+    subclass naming the first violation.  A family with the empty and the
+    full set is accepted when it equals the union-closure of its points'
+    minimal opens, in time about n times the number of opens; only a family
+    that fails this test is scanned pair by pair, so that the error names
+    the same first pair whose union (then intersection) is missing.
     """
 
     points: tuple[str, ...]
@@ -101,13 +136,14 @@ class FiniteSpace:
             raise MissingEmptySet()
         if full not in masks:
             raise MissingWholeSet()
-        ordered = sorted(masks)
-        for ma, mb in itertools.combinations(ordered, 2):
-            if ma | mb not in masks:
-                raise NotClosedUnderUnion(unmask(ma), unmask(mb))
-        for ma, mb in itertools.combinations(ordered, 2):
-            if ma & mb not in masks:
-                raise NotClosedUnderIntersection(unmask(ma), unmask(mb))
+        if not _generated_by_minimal_opens(masks, len(pts)):
+            ordered = sorted(masks)
+            for ma, mb in itertools.combinations(ordered, 2):
+                if ma | mb not in masks:
+                    raise NotClosedUnderUnion(unmask(ma), unmask(mb))
+            for ma, mb in itertools.combinations(ordered, 2):
+                if ma & mb not in masks:
+                    raise NotClosedUnderIntersection(unmask(ma), unmask(mb))
 
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "opens", tuple(sorted(unmask(m) for m in masks)))

@@ -180,6 +180,33 @@ def test_random_space_on_many_points_finishes(capsys, points):
     assert out.startswith(f"points: {points} ")
 
 
+def test_random_space_with_ten_thousand_opens_is_validated_quickly(capsys):
+    # 20 points and 10,500 opens: validation must not compare every pair of opens.
+    code, out, _ = run(capsys, "decompose", "--random", "20", "--seed", "31")
+    assert code == 0
+    assert out.startswith("points: 20 ")
+
+
+def test_reused_parser_leaks_no_state(capsys, tmp_path):
+    calls = [
+        ("spliced", "--fixture", "PSEUDO_S1_DUP", "--max-degree", "5", "--format", "json"),
+        ("spliced", "--fixture", "PSEUDO_S1_DUP", "--length", "0"),
+        ("decompose", "--fixture", "SIERP", "--no-such-flag"),
+        ("decompose", "--input", str(tmp_path / "absent.json")),
+        ("--help",),
+    ]
+
+    def round_of_calls():
+        return [run(capsys, *argv) for argv in calls]
+
+    first = round_of_calls()
+    assert [code for code, _, _ in first] == [0, 3, 3, 2, 0]
+    assert round_of_calls() == first
+    cli.build_parser.cache_clear()
+    assert round_of_calls() == first
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_internal_error_is_one_line_and_code_4(capsys, monkeypatch):
     def broken(space):
         raise RuntimeError("broken\nstate")

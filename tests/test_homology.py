@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsplice import (
+    FIXTURES,
     ChainComplex,
     GroupPresentation,
     IntMatrix,
@@ -244,3 +245,24 @@ def test_euler_characteristic_both_ways(pipelines):
         by_dims = sum((-1) ** k * cc.dim(k) for k in range(cc.top_degree + 1))
         by_ranks = sum((-1) ** k * g.rank for k, g in enumerate(all_groups(cc)))
         assert by_dims == by_ranks
+
+
+def _projective_plane_chains():
+    """A cell structure with H = (Z, Z/2, 0): 2 vertices, 3 edges, 2 faces."""
+    d1 = IntMatrix.from_rows([[-1, 1, 0], [1, -1, 0]])
+    d2 = IntMatrix.from_rows([[1, 1], [1, 1], [1, -1]])
+    return ChainComplex("homological", (("v", "w"), ("a", "b", "c"), ("U", "L")), (d1, d2))
+
+
+def test_chain_and_cochain_smith_diagonals_agree(pipelines):
+    # A matrix and its transpose have the same Smith diagonal, so a complex
+    # and its dual could share one table; Z/2 torsion included.
+    projective = _projective_plane_chains()
+    assert all_groups(projective) == (GroupPresentation(1), GroupPresentation(0, (2,)), GroupPresentation())
+    assert all_groups(cochain(projective)) == (GroupPresentation(1), GroupPresentation(), GroupPresentation(0, (2,)))
+    complexes = [projective]
+    for data in [build_pipeline(space) for space in FIXTURES.values()] + pipelines[:250]:
+        complexes += [data.poset_chain, data.ambient_chain, data.relative_chain]
+    for cc in complexes:
+        assert cochain(cc).smith.diagonals == cc.smith.diagonals
+    assert projective.smith.diagonals == ((1,), (1, 2))

@@ -8,6 +8,7 @@ from finsplice import (
     FiniteSpace,
     INDISC2,
     MissingWholeSet,
+    NotClosedUnderIntersection,
     NotClosedUnderUnion,
     PSEUDO_S1,
     Preorder,
@@ -22,6 +23,7 @@ from finsplice import (
     validate_topology,
 )
 from finsplice.fixtures import point_names
+from finsplice.spaces import _generated_by_minimal_opens
 
 
 def oracle_closure(space, subset):
@@ -78,6 +80,51 @@ def oracle_generated_opens(points, min_opens):
     return tuple(sorted(tuple(sorted(m)) for m in opens))
 
 
+def oracle_pairwise_verdict(points, opens):
+    """The first violated axiom and its witness, by scanning every pair of opens.
+
+    Returns (exception name, witness) with the empty and the full set checked
+    first, then every union, then every intersection, pairs in sorted mask
+    order; ("ok", None) for a topology.
+    """
+    pts = tuple(sorted(points))
+    index = {p: i for i, p in enumerate(pts)}
+    masks = {sum(1 << index[p] for p in set(o)) for o in opens}
+    if 0 not in masks:
+        return "MissingEmptySet", None
+    if (1 << len(pts)) - 1 not in masks:
+        return "MissingWholeSet", None
+
+    def unmask(m):
+        return tuple(p for i, p in enumerate(pts) if m >> i & 1)
+
+    ordered = sorted(masks)
+    for name, combine in (("NotClosedUnderUnion", int.__or__), ("NotClosedUnderIntersection", int.__and__)):
+        for a, b in itertools.combinations(ordered, 2):
+            if combine(a, b) not in masks:
+                return name, (unmask(a), unmask(b))
+    return "ok", None
+
+
+@st.composite
+def open_families(draw, max_points=6):
+    """A point set and a family of subsets.
+
+    Half are up-set topologies with up to two members added or removed, half
+    are arbitrary families with the empty and the full set.
+    """
+    points = point_names(draw(st.integers(min_value=1, max_value=max_points)))
+    subsets = st.frozensets(st.sampled_from(points))
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from(points)), max_size=2 * len(points)))
+        family = {frozenset(o) for o in from_preorder(preorder_from_relation(points, pairs)).opens}
+        for flipped in draw(st.lists(subsets, max_size=2)):
+            family ^= {flipped}
+    else:
+        family = set(draw(st.lists(subsets, max_size=10))) | {frozenset(), frozenset(points)}
+    return points, [tuple(sorted(o)) for o in family]
+
+
 @st.composite
 def generator_families(draw, max_points=7):
     """Points and, for each point, a generator that contains it."""
@@ -114,6 +161,32 @@ def test_union_witness():
     with pytest.raises(NotClosedUnderUnion) as info:
         validate_topology(["a", "b", "c"], [[], ["a"], ["b"], ["a", "b", "c"]])
     assert info.value.witness == (("a",), ("b",))
+
+
+def test_intersection_witness():
+    with pytest.raises(NotClosedUnderIntersection) as info:
+        validate_topology(["a", "b", "c"], [[], ["a", "b"], ["b", "c"], ["a", "b", "c"]])
+    assert info.value.witness == (("a", "b"), ("b", "c"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(open_families())
+def test_validation_matches_pairwise_scan(family):
+    points, opens = family
+    expected = oracle_pairwise_verdict(points, opens)
+    try:
+        space = validate_topology(points, opens)
+    except TopologyError as exc:
+        got = type(exc).__name__, getattr(exc, "witness", None)
+    else:
+        got = "ok", None
+        assert set(space.opens) == {tuple(sorted(o)) for o in opens}
+    assert got == expected
+    if expected[0] not in ("MissingEmptySet", "MissingWholeSet"):
+        # A topology never falls back to the pairwise scan.
+        index = {p: i for i, p in enumerate(sorted(points))}
+        masks = {sum(1 << index[p] for p in o) for o in opens}
+        assert _generated_by_minimal_opens(masks, len(points)) == (expected[0] == "ok")
 
 
 def test_unknown_point_in_open():
