@@ -12,7 +12,6 @@ sparse form, that consecutive differentials compose to zero.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -105,23 +104,29 @@ def order_complex(
 
     relation "leq" uses the preorder itself, "strict" its strictification.
     The restriction must be antisymmetric; callers with an indistinguishable
-    pair must decompose first.  Chains are enumerated depth first: each
-    chain starts at one point and grows only by strict successors of its
-    last point, so every chain is listed exactly once, already ascending.
+    pair must decompose first.  Each chosen point's successors are read
+    off its row.  Chains are enumerated depth first: each chain starts at
+    one point and grows only by strict successors of its last point, so
+    every chain is listed exactly once, already ascending.
     """
     if relation not in ("leq", "strict"):
         raise ValueError(f"unknown relation selector {relation!r}")
     rel = preorder if relation == "leq" else strictify(preorder)
     pts = tuple(sorted(points)) if points is not None else preorder.points
-    known = set(preorder.points)
-    for p in pts:
-        if p not in known:
-            raise UnknownPoint(p)
-    for x, y in itertools.combinations(pts, 2):
-        if rel.leq(x, y) and rel.leq(y, x):
-            raise NotAPoset(x, y)
-
-    above = {x: [y for y in pts if y != x and rel.leq(x, y)] for x in pts}
+    chosen = preorder.mask_of(pts)
+    repeated = preorder.mask_of(x for x, y in zip(pts, pts[1:]) if x == y)
+    # The first pair of the sorted points related both ways starts at the
+    # least chosen point that is repeated or has a chosen twin in its class.
+    above = {}
+    for i, x in enumerate(preorder.points):
+        if not chosen >> i & 1:
+            continue
+        if repeated >> i & 1:
+            raise NotAPoset(x, x)
+        twins = rel.up[i] & rel.down[i] & chosen & ~(1 << i)
+        if twins:
+            raise NotAPoset(x, rel.unmask(twins)[0])
+        above[x] = rel.unmask(rel.up[i] & chosen & ~(1 << i))
     faces_by_dim: list[list[tuple[str, ...]]] = []
     stack = [(x,) for x in pts]
     while stack:

@@ -4,6 +4,12 @@ Two points are topologically indistinguishable (x ~ y) when x <= y and
 y <= x.  Choosing one representative per class yields the poset part, on
 which <= is antisymmetric; the remaining points form the complementary
 part, which in general is not a poset.
+
+Everything here is a word operation on the preorder's rows (up[i] holds
+the points above points[i], down[i] those below it): the class of
+points[i] is up[i] & down[i], the strict order keeps up[i] & ~down[i] plus
+the point itself, and the relation is a poset when every class is a single
+bit.
 """
 
 from __future__ import annotations
@@ -39,31 +45,32 @@ class Decomposition:
 
 
 def strictify(preorder: Preorder) -> Preorder:
-    """The partial order with x < y when x <= y holds one-way, plus equality."""
-    pairs = frozenset(
-        (x, y) for x, y in preorder.pairs if x == y or (y, x) not in preorder.pairs
-    )
-    return Preorder(preorder.points, pairs)
+    """The partial order with x < y when x <= y holds one-way, plus equality.
+
+    Row i keeps the points above points[i] that are not also below it, and
+    its own bit.
+    """
+    rows = (u & ~d | 1 << i for i, (u, d) in enumerate(zip(preorder.up, preorder.down)))
+    return Preorder.from_rows(preorder.points, rows)
 
 
 def equivalence_classes(preorder: Preorder) -> tuple[tuple[str, ...], ...]:
-    """Partition into classes of mutually related points, sorted by least member."""
-    seen: set[str] = set()
+    """Partition into classes of mutually related points, sorted by least member.
+
+    The class of points[i] is the row up[i] & down[i].
+    """
+    seen = 0
     classes = []
-    for x in preorder.points:
-        if x in seen:
-            continue
-        cls = tuple(
-            y for y in preorder.points if preorder.leq(x, y) and preorder.leq(y, x)
-        )
-        seen.update(cls)
-        classes.append(cls)
+    for i, (u, d) in enumerate(zip(preorder.up, preorder.down)):
+        if not seen >> i & 1:
+            classes.append(preorder.unmask(u & d))
+            seen |= u & d
     return tuple(classes)
 
 
 def is_poset(preorder: Preorder) -> bool:
     """True when the relation is antisymmetric (the space is T0)."""
-    return all(x == y or (y, x) not in preorder.pairs for x, y in preorder.pairs)
+    return all(u & d == 1 << i for i, (u, d) in enumerate(zip(preorder.up, preorder.down)))
 
 
 def decompose(preorder: Preorder, policy: str = "least") -> Decomposition:
@@ -76,13 +83,10 @@ def decompose(preorder: Preorder, policy: str = "least") -> Decomposition:
     """
     if policy not in ("least", "greatest"):
         raise ValueError(f"unknown representative policy {policy!r}")
-    choose = min if policy == "least" else max
+    pick = 0 if policy == "least" else -1
     classes = equivalence_classes(preorder)
-    class_of = {}
-    for cls in classes:
-        rep = choose(cls)
-        for p in cls:
-            class_of[p] = rep
-    representatives = tuple(sorted(choose(cls) for cls in classes))
-    complementary = tuple(p for p in preorder.points if p not in set(representatives))
+    class_of = {p: cls[pick] for cls in classes for p in cls}
+    representatives = tuple(sorted(cls[pick] for cls in classes))
+    chosen = set(representatives)
+    complementary = tuple(p for p in preorder.points if p not in chosen)
     return Decomposition(representatives, complementary, classes, class_of)

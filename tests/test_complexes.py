@@ -25,29 +25,33 @@ from finsplice import (
     preorder_from_relation,
     relative_chain_complex,
     specialisation_preorder,
-    strictify,
     zero_complex,
 )
 from finsplice.complexes import HOMOLOGICAL
-from test_spaces import relations
+from test_orders import oracle_strictify_pairs
+from test_spaces import blown_up_fixtures, relations
 
 
 def oracle_order_complex(preorder, points=None, relation="leq"):
     """Chains found by testing every combination of points for pairwise comparability."""
-    rel = preorder if relation == "leq" else strictify(preorder)
+    pairs = preorder.pairs if relation == "leq" else oracle_strictify_pairs(preorder)
+
+    def leq(x, y):
+        return (x, y) in pairs
+
     pts = tuple(sorted(points)) if points is not None else preorder.points
     for x, y in itertools.combinations(pts, 2):
-        if rel.leq(x, y) and rel.leq(y, x):
+        if leq(x, y) and leq(y, x):
             raise NotAPoset(x, y)
 
     def ascending(chain):
-        return tuple(sorted(chain, key=cmp_to_key(lambda a, b: -1 if rel.leq(a, b) else 1)))
+        return tuple(sorted(chain, key=cmp_to_key(lambda a, b: -1 if leq(a, b) else 1)))
 
     faces_by_dim = []
     for size in range(1, len(pts) + 1):
         faces = []
         for combo in itertools.combinations(pts, size):
-            if all(rel.leq(x, y) or rel.leq(y, x) for x, y in itertools.combinations(combo, 2)):
+            if all(leq(x, y) or leq(y, x) for x, y in itertools.combinations(combo, 2)):
                 faces.append(ascending(combo))
         if not faces:
             break
@@ -241,6 +245,14 @@ def test_order_complex_matches_combination_enumerator_on_corpus(corpus):
         assert_order_complexes_match_oracle(preorder, [decompose(preorder).representatives])
 
 
+def assert_witness_is_first_pair_of_each_class(preorder):
+    for cls in equivalence_classes(preorder):
+        if len(cls) > 1:
+            with pytest.raises(NotAPoset) as info:
+                order_complex(preorder, cls, relation="leq")
+            assert info.value.witness == cls[:2]
+
+
 @settings(max_examples=150, deadline=None)
 @given(relations(), st.lists(st.booleans(), min_size=8, max_size=8))
 def test_order_complex_matches_combination_enumerator_on_drawn_relations(relation, keep):
@@ -250,7 +262,16 @@ def test_order_complex_matches_combination_enumerator_on_drawn_relations(relatio
     assert_order_complexes_match_oracle(
         preorder, [decompose(preorder).representatives, subset, *classes]
     )
-    for cls in classes:
-        with pytest.raises(NotAPoset) as info:
-            order_complex(preorder, cls, relation="leq")
-        assert info.value.witness == cls[:2]
+    assert_witness_is_first_pair_of_each_class(preorder)
+
+
+def test_order_complex_matches_combination_enumerator_on_blown_up_fixtures():
+    for preorder in blown_up_fixtures():
+        classes = equivalence_classes(preorder)
+        # One point of each class, then again with the least point of the
+        # first class added: a twin of its last point, or the same point repeated.
+        spread = tuple(cls[-1] for cls in classes)
+        assert_order_complexes_match_oracle(
+            preorder, [decompose(preorder).representatives, spread, spread + classes[0][:1], *classes]
+        )
+        assert_witness_is_first_pair_of_each_class(preorder)

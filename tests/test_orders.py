@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from finsplice import (
     INDISC2,
@@ -10,9 +11,50 @@ from finsplice import (
     decompose,
     equivalence_classes,
     is_poset,
+    preorder_from_relation,
     specialisation_preorder,
     strictify,
 )
+from test_spaces import blown_up_fixtures, relations
+
+
+def oracle_strictify_pairs(preorder):
+    """The pairs of the strict order, read off the pair set."""
+    pairs = preorder.pairs
+    return frozenset((x, y) for x, y in pairs if x == y or (y, x) not in pairs)
+
+
+def oracle_classes(preorder):
+    """Classes of mutually related points by pair lookups, in order of least member."""
+    pairs = preorder.pairs
+    seen = set()
+    classes = []
+    for x in preorder.points:
+        if x not in seen:
+            cls = tuple(y for y in preorder.points if (x, y) in pairs and (y, x) in pairs)
+            seen.update(cls)
+            classes.append(cls)
+    return tuple(classes)
+
+
+def oracle_is_poset(preorder):
+    pairs = preorder.pairs
+    return all(x == y or (y, x) not in pairs for x, y in pairs)
+
+
+def assert_preorder_layers_match_oracles(preorder):
+    strict = strictify(preorder)
+    assert strict.pairs == oracle_strictify_pairs(preorder)
+    assert is_poset(strict)
+    classes = oracle_classes(preorder)
+    assert equivalence_classes(preorder) == classes
+    assert is_poset(preorder) == oracle_is_poset(preorder)
+    for pick, policy in ((0, "least"), (-1, "greatest")):
+        dec = decompose(preorder, policy)
+        assert dec.classes == classes
+        assert dec.representatives == tuple(sorted(cls[pick] for cls in classes))
+        assert dec.complementary == tuple(sorted(p for cls in classes for p in cls if p != cls[pick]))
+        assert dec.class_of == {p: cls[pick] for cls in classes for p in cls}
 
 
 @pytest.fixture(scope="module")
@@ -121,3 +163,20 @@ def test_large_class_breaks_antisymmetry_in_complement(corpus):
                 x, y = leftovers[:2]
                 assert preorder.leq(x, y) and preorder.leq(y, x)
     assert seen_large_class, "corpus never produced a class of size >= 3"
+
+
+def test_preorder_layers_match_oracles_on_corpus(corpus):
+    spaces, _ = corpus
+    for space in spaces:
+        assert_preorder_layers_match_oracles(specialisation_preorder(space))
+
+
+@settings(max_examples=150, deadline=None)
+@given(relations())
+def test_preorder_layers_match_oracles_on_drawn_relations(relation):
+    assert_preorder_layers_match_oracles(preorder_from_relation(*relation))
+
+
+def test_preorder_layers_match_oracles_on_blown_up_fixtures():
+    for preorder in blown_up_fixtures():
+        assert_preorder_layers_match_oracles(preorder)

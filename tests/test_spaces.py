@@ -1,12 +1,18 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsplice import (
+    FIXTURES,
     FiniteSpace,
     INDISC2,
+    InvalidPreorder,
     MissingWholeSet,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
@@ -64,6 +70,62 @@ def oracle_relation_closure(points, pairs):
                     rel.add((x, z))
                     changed = True
     return frozenset(rel)
+
+
+def oracle_specialisation_pairs(space):
+    """(x, y) for every x in the closure of {y}, the closure being the least closed superset."""
+    pairs = set()
+    for y in space.points:
+        closed = set(space.points)
+        for o in space.opens:
+            if y not in o:
+                closed &= set(space.points) - set(o)
+        pairs.update((x, y) for x in closed)
+    return frozenset(pairs)
+
+
+def oracle_preorder_error(points, pairs):
+    """The first violation by a pairwise scan in sorted order, as (type name, message), or None.
+
+    Unknown points come first (the least offending pair, its first point
+    before its second), then reflexivity (the least point), then
+    transitivity (the least x <= y <= z with x <= z missing).
+    """
+    known = set(points)
+    rel = {(str(x), str(y)) for x, y in pairs}
+    for x, y in sorted(rel):
+        for p in (x, y):
+            if p not in known:
+                return "UnknownPoint", f"unknown point {p!r}"
+    for p in sorted(known):
+        if (p, p) not in rel:
+            return "InvalidPreorder", f"not reflexive: missing ({p}, {p})"
+    for x, y in sorted(rel):
+        for y2, z in sorted(rel):
+            if y2 == y and (x, z) not in rel:
+                return "InvalidPreorder", f"not transitive: {x} <= {y} <= {z} but not {x} <= {z}"
+    return None
+
+
+def preorder_error(points, pairs):
+    try:
+        Preorder(points, pairs)
+    except (InvalidPreorder, UnknownPoint) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def blown_up(preorder, copies):
+    """Every point copied `copies` times; the copies of a point form one class."""
+    name = "{}#{}".format
+    points = [name(p, k) for p in preorder.points for k in range(copies)]
+    pairs = [(name(x, a), name(y, b)) for x, y in preorder.pairs for a in range(copies) for b in range(copies)]
+    return Preorder(points, pairs)
+
+
+def blown_up_fixtures(copies=(1, 2, 3)):
+    """The fixtures' preorders, each blown up by every given number of copies."""
+    return [blown_up(specialisation_preorder(space), m) for space in FIXTURES.values() for m in copies]
 
 
 def oracle_generated_opens(points, min_opens):
@@ -360,3 +422,82 @@ def test_blown_up_sierp_on_thirty_points_has_three_opens():
         pairs += list(zip(cls, cls[1:] + cls[:1]))
     space = from_preorder(preorder_from_relation(points, pairs))
     assert space.opens == ((), points, high)
+
+
+@pytest.mark.parametrize(
+    "points,pairs,error,message",
+    [
+        ((), [], InvalidPreorder, "point set must be nonempty"),
+        (("a", "b", "a"), [], InvalidPreorder, "point identifiers must be distinct"),
+        (("a", "b"), [("a", "a")], InvalidPreorder, r"not reflexive: missing \(b, b\)"),
+        (
+            ("a", "b", "c", "d"),
+            [(p, p) for p in "abcd"] + [("a", "b"), ("b", "d"), ("b", "c")],
+            InvalidPreorder,
+            "not transitive: a <= b <= c but not a <= c",
+        ),
+        (("a",), [("q", "a"), ("a", "x")], UnknownPoint, "unknown point 'x'"),
+        (("a",), [("q", "z"), ("a", "x")], UnknownPoint, "unknown point 'x'"),
+        (("b",), [("b", "a")], UnknownPoint, "unknown point 'a'"),
+    ],
+)
+def test_preorder_errors(points, pairs, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        Preorder(points, pairs)
+
+
+def test_rows_are_validated():
+    assert Preorder.from_rows(("a", "b"), (0b11, 0b10)) == specialisation_preorder(SIERP)
+    with pytest.raises(InvalidPreorder, match="sorted order"):
+        Preorder.from_rows(("b", "a"), (0b11, 0b10))
+    with pytest.raises(InvalidPreorder, match="expected 2 rows, got 1"):
+        Preorder.from_rows(("a", "b"), (0b11,))
+    with pytest.raises(InvalidPreorder, match="beyond the 2 points"):
+        Preorder.from_rows(("a", "b"), (0b111, 0b10))
+    with pytest.raises(InvalidPreorder, match=r"not reflexive: missing \(b, b\)"):
+        Preorder.from_rows(("a", "b"), (0b11, 0b01))
+    with pytest.raises(InvalidPreorder, match="not transitive: a <= b <= c but not a <= c"):
+        Preorder.from_rows(("a", "b", "c"), (0b011, 0b110, 0b100))
+
+
+def test_preorder_witness_does_not_depend_on_hash_seed():
+    # Scanning the pairs in set iteration order, seeds 1 and 5 name
+    # different witnesses for both inputs.
+    script = (
+        "from finsplice import Preorder, InvalidPreorder, UnknownPoint\n"
+        "pairs = [(p, p) for p in 'abcd'] + [('a', 'b'), ('b', 'c'), ('b', 'd')]\n"
+        "for args in (('abcd', pairs), ('a', [('a', 'a'), ('a', 'x'), ('q', 'a')])):\n"
+        "    try:\n"
+        "        Preorder(*args)\n"
+        "    except (InvalidPreorder, UnknownPoint) as exc:\n"
+        "        print(exc)\n"
+    )
+    outputs = []
+    for seed in ("1", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1] == "not transitive: a <= b <= c but not a <= c\nunknown point 'x'\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations(max_points=6), st.booleans(), st.lists(st.sampled_from(["a", "b", "z", "q"]), max_size=2))
+def test_preorder_errors_match_pairwise_scan(relation, reflexive, strangers):
+    points, pairs = relation
+    pairs = pairs + [(p, p) for p in points if reflexive]
+    pairs += [(x, y) for x, y in zip(strangers, reversed(strangers))]
+    assert preorder_error(points, pairs) == oracle_preorder_error(points, pairs)
+    closed = sorted(oracle_relation_closure(points, [p for p in pairs if set(p) <= set(points)]))
+    assert preorder_error(points, closed) is None
+
+
+def test_specialisation_preorder_matches_closures(corpus):
+    spaces, _ = corpus
+    for space in [*spaces, *FIXTURES.values(), *map(from_preorder, blown_up_fixtures())]:
+        assert specialisation_preorder(space).pairs == oracle_specialisation_pairs(space)
+
+
+def test_blown_up_fixtures_round_trip():
+    for preorder in blown_up_fixtures():
+        assert specialisation_preorder(from_preorder(preorder)) == preorder
+        assert preorder_from_relation(preorder.points, preorder.pairs) == preorder
