@@ -6,8 +6,15 @@ boundary of [v0 < ... < vk] is the usual alternating sum over deleted
 vertices.  Chain complexes carry column-sparse integer matrices: each
 face's boundary is one column, the relative complex keeps the columns of
 the faces outside the subcomplex with their subcomplex entries dropped,
-and the cochain complex transposes.  Building a complex checks, on the
-sparse form, that consecutive differentials compose to zero.
+and the cochain complex transposes.  Both builders write each column
+already canonical (sorted rows, no zeros), so no matrix is re-summed.
+
+The `ChainComplex` constructor checks, on the sparse form, that
+consecutive differentials compose to zero; chain and relative complexes
+go through it.  A cochain inherits the check: its maps are the
+transposes of a checked chain's maps, and transposes compose to zero
+exactly when the originals do, so `cochain` wraps them without a second
+product.
 """
 
 from __future__ import annotations
@@ -189,6 +196,15 @@ class ChainComplex:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "maps", maps)
 
+    @classmethod
+    def _checked(cls, direction: str, basis: tuple, maps: tuple) -> "ChainComplex":
+        """Wrap a basis and maps that already passed the constructor's checks."""
+        complex_ = cls.__new__(cls)
+        object.__setattr__(complex_, "direction", direction)
+        object.__setattr__(complex_, "basis", basis)
+        object.__setattr__(complex_, "maps", maps)
+        return complex_
+
     @property
     def top_degree(self) -> int:
         return len(self.basis) - 1
@@ -244,17 +260,20 @@ def chain_complex(complex_: SimplicialComplex) -> ChainComplex:
     """Simplicial chain complex over the integers.
 
     Degree-k basis elements are the k-faces in lexicographic order; the
-    boundary of a face is the alternating sum over deleted vertices.
+    boundary of a face is the alternating sum over deleted vertices.  A
+    face lists its vertices in relation order, not label order, so the
+    rows of its k+1 subfaces are sorted before the column is stored.
     """
     basis = tuple(tuple(face_label(f) for f in faces) for faces in complex_.faces_by_dim)
     maps = []
     for k in range(1, len(complex_.faces_by_dim)):
         rows = {face: i for i, face in enumerate(complex_.faces_by_dim[k - 1])}
-        columns = [
-            [(rows[face[:i] + face[i + 1:]], (-1) ** i) for i in range(len(face))]
+        signs = [(-1) ** i for i in range(k + 1)]
+        columns = tuple([
+            tuple(sorted(zip([rows[face[:i] + face[i + 1:]] for i in range(k + 1)], signs)))
             for face in complex_.faces_by_dim[k]
-        ]
-        maps.append(IntMatrix.from_columns(len(rows), len(columns), columns))
+        ])
+        maps.append(IntMatrix._canonical(len(rows), len(columns), columns))
     return _trimmed(HOMOLOGICAL, basis, maps)
 
 
@@ -263,7 +282,8 @@ def relative_chain_complex(ambient: ChainComplex, sub: ChainComplex) -> ChainCom
 
     Degree-k basis elements are the ambient labels not in the subcomplex;
     differentials are the ambient ones with the subcomplex coordinates
-    deleted.
+    deleted.  The kept rows are renumbered in ascending order, so each
+    filtered column stays sorted and free of zeros.
     """
     if ambient.direction != HOMOLOGICAL or sub.direction != HOMOLOGICAL:
         raise ValueError("relative complexes are built from homological complexes")
@@ -282,13 +302,17 @@ def relative_chain_complex(ambient: ChainComplex, sub: ChainComplex) -> ChainCom
     maps = []
     for k, m in enumerate(ambient.maps):
         rows = {i: new for new, i in enumerate(keep[k])}
-        columns = [[(rows[i], x) for i, x in m.columns[j] if i in rows] for j in keep[k + 1]]
-        maps.append(IntMatrix.from_columns(len(rows), len(columns), columns))
+        columns = tuple([tuple([(rows[i], x) for i, x in m.columns[j] if i in rows]) for j in keep[k + 1]])
+        maps.append(IntMatrix._canonical(len(rows), len(columns), columns))
     return _trimmed(HOMOLOGICAL, basis, maps)
 
 
 def cochain(chain: ChainComplex) -> ChainComplex:
-    """Dualize a homological complex: same bases, transposed differentials."""
+    """Dualize a homological complex: same bases, transposed differentials.
+
+    The chain's maps compose to zero, so their transposes do too; the
+    dual is wrapped without repeating that check.
+    """
     if chain.direction != HOMOLOGICAL:
         raise ValueError("cochain expects a homological complex")
-    return ChainComplex(COHOMOLOGICAL, chain.basis, tuple(m.transpose() for m in chain.maps))
+    return ChainComplex._checked(COHOMOLOGICAL, chain.basis, tuple(m.transpose() for m in chain.maps))

@@ -9,6 +9,7 @@ the Alexandrov construction.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .complexes import ChainComplex
@@ -33,9 +34,20 @@ def space_to_dict(space: FiniteSpace) -> dict:
 
 
 def _strings(value, message: str) -> tuple[str, ...]:
-    """The value as a tuple of strings, if it is a JSON array of strings."""
+    """The value as a tuple of strings, if it is a JSON array of UTF-8-encodable strings.
+
+    A JSON `\\ud800` escape decodes to a lone surrogate, which no output
+    stream can write as UTF-8; like a file that is not UTF-8, it is an
+    input error.
+    """
     if not isinstance(value, list) or not all(isinstance(p, str) for p in value):
         raise SpaceFormatError(message)
+    for p in value:
+        if not p.isascii():
+            try:
+                p.encode("utf-8")
+            except UnicodeEncodeError:
+                raise SpaceFormatError(f"string {ascii(p)} cannot be encoded as UTF-8") from None
     return tuple(value)
 
 
@@ -107,5 +119,64 @@ def complex_from_dict(data: dict) -> ChainComplex:
 
 
 def dumps(payload: dict) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+
+    The text is the same as `json.dumps(payload, indent=2, sort_keys=True)`
+    plus a newline, written without the standard library's pure-Python
+    indenting encoder.  Accepted types: `dict` with `str` keys, `list`,
+    `tuple`, `str`, `int`, `bool` and `None`.  A value of any other type,
+    a subclass of these included, raises `TypeError`.
+
+    >>> print(dumps({"name": "c'", "ranks": [1, 0], "torsion": [], "t0": None}), end="")
+    {
+      "name": "c'",
+      "ranks": [
+        1,
+        0
+      ],
+      "t0": null,
+      "torsion": []
+    }
+    """
+    return _encode(payload, "") + "\n"
+
+
+# The writers of the scalar types, keyed by exact type.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+
+def _encode(value, indent: str) -> str:
+    """The JSON text of one value nested at `indent`; its closing bracket starts a line there."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key in sorted(value):
+            item = value[key]
+            scalar = _SCALARS.get(type(item))
+            # encode_basestring_ascii raises TypeError for a key that is not a str.
+            items.append(encode_basestring_ascii(key) + ": " + (scalar(item) if scalar else _encode(item, inner)))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        first = type(value[0])
+        scalar = _SCALARS.get(first)
+        # A list of scalars of one type is written with one join.
+        if scalar is not None and all(type(item) is first for item in value):
+            items = map(scalar, value)
+        else:
+            items = [_encode(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    scalar = _SCALARS.get(kind)
+    if scalar is None:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return scalar(value)

@@ -9,6 +9,14 @@ empty boundary maps at the ends of a chain complex.
 
 The constructor, `from_rows`, `entries` and `to_lists` are the only dense
 views; they serve the I/O edge and the test oracles.
+
+`from_columns` accepts pairs in any order, adds up repeated rows and drops
+zeros.  `_canonical` does none of that: it wraps a tuple of column tuples
+as given, and its caller guarantees the precondition that every column is
+sorted by row, every row is in range, and no value is zero.  It serves the
+builders that produce columns in that form already: `from_columns`,
+`zeros`, `identity`, `transpose` and `mul` here, and `chain_complex` and
+`relative_chain_complex` in `complexes`.
 """
 
 from __future__ import annotations

@@ -286,6 +286,23 @@ def test_unreadable_json_is_an_input_error(capsys, tmp_path, content):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_lone_surrogate_point_is_an_input_error_in_a_real_process(tmp_path, fmt):
+    # A StringIO accepts lone surrogates, so only a real stdout shows the
+    # table form failing to encode one.
+    path = tmp_path / "surrogate.json"
+    path.write_text('{"points": ["\\ud800", "b"], "leq": [["b", "\\ud800"]]}', encoding="ascii")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "finsplice", "decompose", "--input", str(path), "--format", fmt],
+        capture_output=True,
+        env=env,
+    )
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr == b"finsplice: input error: string '\\ud800' cannot be encoded as UTF-8\n"
+
+
 POINT_NAMES = ("a", "b", "c", "d")
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(POINT_NAMES + ("", "z")),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsplice import (
+    FIXTURES,
     ChainComplex,
     INDISC2,
     IntMatrix,
@@ -25,9 +26,10 @@ from finsplice import (
     preorder_from_relation,
     relative_chain_complex,
     specialisation_preorder,
+    strictify,
     zero_complex,
 )
-from finsplice.complexes import HOMOLOGICAL
+from finsplice.complexes import COHOMOLOGICAL, HOMOLOGICAL, face_label
 from test_orders import oracle_strictify_pairs
 from test_spaces import blown_up_fixtures, relations
 
@@ -275,3 +277,67 @@ def test_order_complex_matches_combination_enumerator_on_blown_up_fixtures():
             preorder, [decompose(preorder).representatives, spread, spread + classes[0][:1], *classes]
         )
         assert_witness_is_first_pair_of_each_class(preorder)
+
+
+def reference_chain_complex(complex_):
+    """Boundary matrices through `IntMatrix.from_columns`, which sums and sorts every column."""
+    basis = tuple(tuple(face_label(f) for f in faces) for faces in complex_.faces_by_dim)
+    maps = []
+    for k in range(1, len(complex_.faces_by_dim)):
+        rows = {face: i for i, face in enumerate(complex_.faces_by_dim[k - 1])}
+        columns = [
+            [(rows[face[:i] + face[i + 1:]], (-1) ** i) for i in range(len(face))]
+            for face in complex_.faces_by_dim[k]
+        ]
+        maps.append(IntMatrix.from_columns(len(rows), len(columns), columns))
+    return ChainComplex(HOMOLOGICAL, basis, tuple(maps))
+
+
+def reference_relative_maps(ambient, sub):
+    """The relative differentials through `IntMatrix.from_columns`, by label lookup."""
+    maps = []
+    for k, m in enumerate(ambient.maps):
+        sub_rows = set(sub.basis[k]) if k < len(sub.basis) else set()
+        sub_cols = set(sub.basis[k + 1]) if k + 1 < len(sub.basis) else set()
+        kept_rows = [i for i, label in enumerate(ambient.basis[k]) if label not in sub_rows]
+        kept_cols = [j for j, label in enumerate(ambient.basis[k + 1]) if label not in sub_cols]
+        new_row = {i: n for n, i in enumerate(kept_rows)}
+        columns = [[(new_row[i], x) for i, x in m.columns[j] if i in new_row] for j in kept_cols]
+        maps.append(IntMatrix.from_columns(len(kept_rows), len(kept_cols), columns))
+    return maps
+
+
+def assert_canonical_construction(ambient_complex, sub_complex):
+    """Both builders give the reference matrices, and every cochain passes the full constructor."""
+    ambient, sub = chain_complex(ambient_complex), chain_complex(sub_complex)
+    assert ambient == reference_chain_complex(ambient_complex)
+    assert sub == reference_chain_complex(sub_complex)
+    relative = relative_chain_complex(ambient, sub)
+    assert relative.maps == tuple(reference_relative_maps(ambient, sub)[: len(relative.maps)])
+    for cc in (ambient, sub, relative):
+        assert cochain(cc) == ChainComplex(COHOMOLOGICAL, cc.basis, tuple(m.transpose() for m in cc.maps))
+
+
+def test_canonical_construction_matches_reference_on_fixtures():
+    for space in FIXTURES.values():
+        data = build_pipeline(space)
+        assert_canonical_construction(data.ambient_complex, data.sub_complex)
+        assert data.poset_cochain == ChainComplex(
+            COHOMOLOGICAL, data.poset_chain.basis, tuple(m.transpose() for m in data.poset_chain.maps)
+        )
+
+
+def test_canonical_construction_matches_reference_on_corpus(pipelines):
+    assert len(pipelines) == 500
+    for data in pipelines:
+        assert_canonical_construction(data.ambient_complex, data.sub_complex)
+
+
+def test_canonical_construction_matches_reference_on_blown_up_fixtures():
+    for preorder in blown_up_fixtures():
+        strict = strictify(preorder)
+        representatives = decompose(preorder).representatives
+        assert_canonical_construction(
+            order_complex(strict, relation="leq"), order_complex(strict, representatives, relation="leq")
+        )
+

@@ -1,18 +1,28 @@
+import contextlib
+import gc
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from finsplice import FIXTURES, PSEUDO_S1, build_pipeline, specialisation_preorder
+from finsplice import FIXTURES, PSEUDO_S1, build_pipeline, cli, specialisation_preorder
 from finsplice.io import (
     SpaceFormatError,
     complex_from_dict,
     complex_to_dict,
     dump_space,
+    dumps,
     load_space,
     space_from_dict,
     space_to_dict,
 )
+
+
+def oracle_dumps(payload):
+    """The canonical text by the standard library's indenting encoder."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -76,3 +86,119 @@ def test_complex_golden_file():
     golden = json.loads(golden_path.read_text(encoding="utf-8"))
     data = build_pipeline(FIXTURES["PSEUDO_S1_DUP"])
     assert complex_to_dict(data.relative_cochain) == golden
+
+
+# Every code point, lone surrogates, quotes, backslashes and controls included.
+any_text = st.text(st.characters(codec=None, categories=None), max_size=12) | st.sampled_from(
+    ["", '"', "\\", "\ud800", "\udfff", "\x00\x1f\x7f", "\u2028", "\U0001f600", "c'"]
+)
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.sampled_from([0, -1, 2**64, -(2**64) - 1, 10**40])
+    | any_text
+)
+payloads = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(any_text, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(payloads)
+def test_dumps_matches_the_indenting_encoder(payload):
+    assert dumps(payload) == oracle_dumps(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(), max_size=6) | st.lists(any_text, max_size=6) | st.lists(st.booleans(), max_size=6))
+def test_dumps_matches_the_indenting_encoder_on_flat_lists(items):
+    assert dumps({"items": items}) == oracle_dumps({"items": items})
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [1.5, {"x": [1, 2.0]}, {1, 2}, {"x": frozenset()}, {1: "a"}, {"a": {("b",): 1}}, {"a": b"bytes"}],
+    ids=["float", "nested-float", "set", "nested-set", "int-key", "tuple-key", "bytes"],
+)
+def test_dumps_rejects_other_types(payload):
+    with pytest.raises(TypeError):
+        dumps(payload)
+
+
+def test_dumps_leaves_no_cyclic_garbage():
+    payload = {"groups": [{"rank": 1, "torsion": [2, 2]}], "points": ["a", "b"], "t0": None, "x": {}}
+    gc.collect()
+    gc.disable()
+    try:
+        dumps(payload)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _reports(monkeypatch, argvs):
+    """The payloads `cli.main` hands to `dumps` for each argv, with the text written."""
+    written = []
+
+    def recording(payload):
+        text = dumps(payload)
+        written.append((payload, text))
+        return text
+
+    monkeypatch.setattr(cli, "dumps", recording)
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    return written
+
+
+FIXTURE_COMMANDS = [
+    ["decompose"],
+    *(
+        ["homology", "--complex", c, "--theory", t]
+        for c in ("poset", "ambient", "relative")
+        for t in ("homology", "cohomology")
+    ),
+    ["spliced", "--length", "3", "--max-degree", "11", "--verify-theorem"],
+    ["spliced", "--length", "-2", "--max-degree", "7", "--verify-theorem"],
+]
+
+
+def test_dumps_matches_the_indenting_encoder_on_fixture_reports(monkeypatch):
+    argvs = [[*cmd, "--fixture", name, "--format", "json"] for name in FIXTURES for cmd in FIXTURE_COMMANDS]
+    argvs += [["fixtures", "show", name] for name in FIXTURES]
+    written = _reports(monkeypatch, argvs)
+    assert len(written) == len(argvs)
+    for payload, text in written:
+        assert text == oracle_dumps(payload)
+
+
+def test_dumps_matches_the_indenting_encoder_on_corpus_reports(monkeypatch, tmp_path, pipelines):
+    argvs = []
+    for i, data in enumerate(pipelines[:250]):
+        path = tmp_path / f"space{i}.json"
+        dump_space(data.space, path)
+        argvs.append(["spliced", "--input", str(path), "--max-degree", "7", "--verify-theorem", "--format", "json"])
+    written = _reports(monkeypatch, argvs)
+    assert len(written) == 250
+    for payload, text in written:
+        assert text == oracle_dumps(payload)
+
+
+@pytest.mark.parametrize("field", ["points", "leq", "opens", "min_opens"])
+def test_strings_that_cannot_be_utf8_are_input_errors(field):
+    bad = "\ud800"
+    documents = {
+        "points": {"points": [bad, "b"], "leq": []},
+        "leq": {"points": ["a", "b"], "leq": [["b", bad]]},
+        "opens": {"points": ["a"], "opens": [[], ["a"], [bad]]},
+        "min_opens": {"points": ["a"], "min_opens": {"a": ["a", bad]}},
+    }
+    with pytest.raises(SpaceFormatError, match="cannot be encoded as UTF-8"):
+        space_from_dict(documents[field])
