@@ -253,7 +253,8 @@ def _trimmed(direction: str, basis: Sequence[tuple[str, ...]], maps: Sequence[In
 
 
 def face_label(face: tuple[str, ...]) -> str:
-    return ",".join(face)
+    """The vertices joined by commas; `\\` and `,` in a vertex get a `\\`, so labels are injective."""
+    return ",".join([v.replace("\\", "\\\\").replace(",", "\\,") for v in face])
 
 
 def chain_complex(complex_: SimplicialComplex) -> ChainComplex:
@@ -264,7 +265,7 @@ def chain_complex(complex_: SimplicialComplex) -> ChainComplex:
     face lists its vertices in relation order, not label order, so the
     rows of its k+1 subfaces are sorted before the column is stored.
     """
-    basis = tuple(tuple(face_label(f) for f in faces) for faces in complex_.faces_by_dim)
+    basis = tuple(tuple(map(face_label, faces)) for faces in complex_.faces_by_dim)
     maps = []
     for k in range(1, len(complex_.faces_by_dim)):
         rows = {face: i for i, face in enumerate(complex_.faces_by_dim[k - 1])}

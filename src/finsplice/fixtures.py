@@ -6,11 +6,11 @@ import random
 import string
 from typing import Iterable
 
-from .spaces import FiniteSpace, from_min_opens, from_preorder, preorder_from_relation
+from .spaces import FiniteSpace, from_min_opens, from_preorder, preorder_from_relation, validate_topology
 
-SIERP = FiniteSpace(("a", "b"), ((), ("b",), ("a", "b")))
+SIERP = validate_topology(("a", "b"), ((), ("b",), ("a", "b")))
 
-INDISC2 = FiniteSpace(("x", "y"), ((), ("x", "y")))
+INDISC2 = validate_topology(("x", "y"), ((), ("x", "y")))
 
 # Four-point model of the circle: the order complex is a 4-cycle.
 PSEUDO_S1 = from_min_opens(

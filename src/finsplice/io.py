@@ -2,8 +2,8 @@
 
 Space files carry `points` plus exactly one of `opens`, `min_opens`, or
 `leq`.  The optional `format` field pins the schema version.  Relation
-input is completed to a preorder by reflexive-transitive closure before
-the Alexandrov construction.
+input is completed to a preorder by reflexive-transitive closure; only
+`opens` input and the written form list the opens.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .complexes import ChainComplex
 from .matrices import IntMatrix
-from .spaces import FiniteSpace, from_min_opens, from_preorder, preorder_from_relation
+from .spaces import FiniteSpace, from_min_opens, from_preorder, preorder_from_relation, validate_topology
 
 SPACE_FORMAT = "finsplice-space/1"
 COMPLEX_FORMAT = "finsplice-complex/1"
@@ -69,7 +69,7 @@ def space_from_dict(data: dict) -> FiniteSpace:
         message = "'opens' must be an array of arrays of strings"
         if not isinstance(value, list):
             raise SpaceFormatError(message)
-        return FiniteSpace(points, tuple(_strings(o, message) for o in value))
+        return validate_topology(points, [_strings(o, message) for o in value])
     if key == "min_opens":
         message = "'min_opens' must map each point to an array of points"
         if not isinstance(value, dict):

@@ -1,28 +1,20 @@
-"""Finite topological spaces and the specialisation preorder.
+"""Finite topological spaces, held as their specialisation preorders.
 
-A space is a finite point set with an explicit family of open sets.  The
-specialisation preorder sets x <= y exactly when x lies in the closure of
-{y}; it is reflexive and transitive but in general not antisymmetric.  The
-Alexandrov correspondence identifies finite spaces with preorders, and
-`from_preorder` is the inverse of `specialisation_preorder` under the
-up-set convention (the round trip is checked by the test suite).
+The specialisation preorder sets x <= y exactly when x lies in the closure
+of {y}; it is reflexive and transitive but in general not antisymmetric.
+By the Alexandrov correspondence it determines the space, whose opens are
+its up-closed sets, so a `FiniteSpace` holds the preorder alone.  Opens
+exist only at the I/O edge: `validate_topology` reads an explicit family,
+and `FiniteSpace.opens` lists the family for the writers.
 
 Subsets of the points are bitmasks over the sorted points, and a
 `Preorder` is one such row per point: its up-set, which is also the
 point's minimal open, kept with the transposed down-set rows.  Every
 layer that reads a preorder works on these rows with word operations;
-the (x, y) pairs are only a derived view.  `specialisation_preorder`
-takes each point's minimal open (the intersection of the opens containing
-it) as its row, relation input is closed by Warshall's algorithm on the
-rows, and `from_preorder` builds the opens as unions of the distinct rows,
-so none of them enumerates the 2^n subsets of the points.
-`from_min_opens` intersects its generators into rows the same way and
-goes through `from_preorder`.
-
-An explicit family of opens is validated against the union-closure of its
-minimal opens (the intersection of the opens containing each point), which
-a topology equals; the pairwise union and intersection scan runs only on a
-family that is not a topology, to name the first offending pair.
+the (x, y) pairs are only a derived view.  Relation input is closed by
+Warshall's algorithm on the rows, and minimal-open generators and
+explicit families are intersected into rows, so no input form lists the
+opens or the 2^n subsets of the points.
 """
 
 from __future__ import annotations
@@ -30,6 +22,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 
@@ -89,94 +82,47 @@ def _minimal_opens(masks: Iterable[int], n: int) -> list[int]:
     return minimal
 
 
-def _generated_by_minimal_opens(masks: set[int], n: int) -> bool:
-    """Whether a family holding the empty and the full set is a topology.
+def _union_closure(rows: Iterable[int], limit: int | None = None) -> set[int] | None:
+    """The unions of the distinct rows, the empty union included.
 
-    A topology is exactly the union-closure of its minimal opens plus the
-    empty set; conversely, if the family equals that closure, the
-    intersection of two minimal opens is the union of the minimal opens of
-    its points, so the family is closed under intersection too.  The closure
-    is given up as soon as it outgrows the family, so the work is at most
-    n times the number of members.
+    The work grows with the size of the closure, not with the 2^n subsets;
+    None is returned as soon as the closure holds more than `limit` masks.
     """
     closure = {0}
-    for u in set(_minimal_opens(masks, n)):
+    for u in set(rows):
         closure |= {m | u for m in closure}
-        if len(closure) > len(masks):
-            return False
-    return closure == masks
+        if limit is not None and len(closure) > limit:
+            return None
+    return closure
 
 
 @dataclass(frozen=True)
 class FiniteSpace:
-    """A validated finite topological space.
+    """A finite topological space, held as its specialisation preorder.
 
-    Point identifiers are opaque strings kept in lexicographic order; that
-    order is the tie-breaker everywhere downstream.  Opens are stored
-    canonically (each open sorted, family sorted, duplicates removed).
-    Construction validates all topology axioms and raises a TopologyError
-    subclass naming the first violation.  A family with the empty and the
-    full set is accepted when it equals the union-closure of its points'
-    minimal opens, in time about n times the number of opens; only a family
-    that fails this test is scanned pair by pair, so that the error names
-    the same first pair whose union (then intersection) is missing.
+    Two topologies are equal exactly when their preorders are, so equality
+    and hashing come from the preorder.  The points are in lexicographic
+    order, the tie-breaker everywhere downstream.  The opens, the up-closed
+    sets, are listed on first read of `opens`.  The Sierpinski space:
+
+    >>> from finsplice import Preorder, from_preorder
+    >>> sierp = from_preorder(Preorder(("a", "b"), [("a", "a"), ("a", "b"), ("b", "b")]))
+    >>> sierp.points
+    ('a', 'b')
+    >>> sierp.opens
+    ((), ('a', 'b'), ('b',))
     """
 
-    points: tuple[str, ...]
-    opens: tuple[tuple[str, ...], ...]
+    preorder: Preorder
 
-    def __post_init__(self):
-        pts = [str(p) for p in self.points]
-        if not pts:
-            raise TopologyError("point set must be nonempty")
-        if len(set(pts)) != len(pts):
-            raise TopologyError("point identifiers must be distinct")
-        pts = tuple(sorted(pts))
-        index = {p: i for i, p in enumerate(pts)}
-        full = (1 << len(pts)) - 1
+    @property
+    def points(self) -> tuple[str, ...]:
+        return self.preorder.points
 
-        masks = set()
-        for open_set in self.opens:
-            m = 0
-            for p in open_set:
-                if p not in index:
-                    raise UnknownPoint(p)
-                m |= 1 << index[p]
-            masks.add(m)
-
-        def unmask(m: int) -> tuple[str, ...]:
-            return tuple(p for i, p in enumerate(pts) if m >> i & 1)
-
-        if 0 not in masks:
-            raise MissingEmptySet()
-        if full not in masks:
-            raise MissingWholeSet()
-        if not _generated_by_minimal_opens(masks, len(pts)):
-            ordered = sorted(masks)
-            for ma, mb in itertools.combinations(ordered, 2):
-                if ma | mb not in masks:
-                    raise NotClosedUnderUnion(unmask(ma), unmask(mb))
-            for ma, mb in itertools.combinations(ordered, 2):
-                if ma & mb not in masks:
-                    raise NotClosedUnderIntersection(unmask(ma), unmask(mb))
-
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "opens", tuple(sorted(unmask(m) for m in masks)))
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_masks", frozenset(masks))
-        object.__setattr__(self, "_full", full)
-
-    def mask_of(self, subset: Iterable[str]) -> int:
-        m = 0
-        for p in subset:
-            i = self._index.get(p)
-            if i is None:
-                raise UnknownPoint(p)
-            m |= 1 << i
-        return m
-
-    def unmask(self, m: int) -> tuple[str, ...]:
-        return tuple(p for i, p in enumerate(self.points) if m >> i & 1)
+    @cached_property
+    def opens(self) -> tuple[tuple[str, ...], ...]:
+        """Every open, sorted, built on first use as the union-closure of the up-set rows."""
+        return tuple(sorted(map(self.preorder.unmask, _union_closure(self.preorder.up))))
 
 
 def _lowest(m: int) -> int:
@@ -315,19 +261,68 @@ class Preorder:
 
 
 def validate_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> FiniteSpace:
-    """Check the open-set family axioms and return the validated space."""
-    return FiniteSpace(tuple(points), tuple(tuple(o) for o in opens))
+    """The space with an explicit family of opens, the one reader of such a family.
+
+    A TopologyError subclass names the first violation: bad points, an
+    unknown point, a missing empty or full set.  Then the family must equal
+    the union-closure of its minimal opens (the intersection of the members
+    containing each point), in time about n times the number of members; a
+    family that does not is scanned pair by pair for the first pair whose
+    union (then intersection) is missing.  The minimal opens are the rows
+    of the space's preorder.
+    """
+    pts = [str(p) for p in points]
+    if not pts:
+        raise TopologyError("point set must be nonempty")
+    if len(set(pts)) != len(pts):
+        raise TopologyError("point identifiers must be distinct")
+    pts = tuple(sorted(pts))
+    index = {p: i for i, p in enumerate(pts)}
+
+    masks = set()
+    for open_set in opens:
+        m = 0
+        for p in open_set:
+            if p not in index:
+                raise UnknownPoint(p)
+            m |= 1 << index[p]
+        masks.add(m)
+
+    def unmask(m: int) -> tuple[str, ...]:
+        return tuple(p for i, p in enumerate(pts) if m >> i & 1)
+
+    if 0 not in masks:
+        raise MissingEmptySet()
+    if (1 << len(pts)) - 1 not in masks:
+        raise MissingWholeSet()
+    # A topology is exactly the union-closure of its minimal opens; conversely,
+    # if the family equals that closure, the intersection of two minimal opens
+    # is the union of the minimal opens of its points, so it is open too.
+    minimal = _minimal_opens(masks, len(pts))
+    if _union_closure(minimal, len(masks)) != masks:
+        ordered = sorted(masks)
+        for ma, mb in itertools.combinations(ordered, 2):
+            if ma | mb not in masks:
+                raise NotClosedUnderUnion(unmask(ma), unmask(mb))
+        for ma, mb in itertools.combinations(ordered, 2):
+            if ma & mb not in masks:
+                raise NotClosedUnderIntersection(unmask(ma), unmask(mb))
+    return FiniteSpace(Preorder.from_rows(pts, minimal))
 
 
 def closure(space: FiniteSpace, subset: Iterable[str]) -> tuple[str, ...]:
-    """Smallest closed set (complement of an open) containing the subset."""
-    target = space.mask_of(subset)
-    result = space._full
-    for open_mask in space._masks:
-        closed = space._full & ~open_mask
-        if closed & target == target:
-            result &= closed
-    return space.unmask(result)
+    """Smallest closed set containing the subset: the union of its points' closures.
+
+    The closure of {y} is the down-set of y, since x <= y exactly when x
+    lies in it.
+    """
+    preorder = space.preorder
+    target = preorder.mask_of(subset)
+    result = 0
+    for i, row in enumerate(preorder.down):
+        if target >> i & 1:
+            result |= row
+    return preorder.unmask(result)
 
 
 def specialisation_preorder(space: FiniteSpace) -> Preorder:
@@ -336,22 +331,16 @@ def specialisation_preorder(space: FiniteSpace) -> Preorder:
     That is, y lies in every open containing x, so the row of x is its
     minimal open.
     """
-    return Preorder.from_rows(space.points, _minimal_opens(space._masks, len(space.points)))
+    return space.preorder
 
 
 def from_preorder(preorder: Preorder) -> FiniteSpace:
     """The finite space whose opens are the up-closed sets of the relation.
 
-    The up-set of x is the minimal open of x, and every open is a union of
-    minimal opens, so the family is the union-closure of the distinct
-    up-sets (plus the empty set): the work grows with the number of opens,
-    not with the 2^n subsets of the points.  With this convention the
-    specialisation preorder of the result is the input relation again.
+    With this convention the specialisation preorder of the result is the
+    input relation again.
     """
-    masks = {0}
-    for u in set(preorder.up):
-        masks |= {m | u for m in masks}
-    return FiniteSpace(preorder.points, tuple(preorder.unmask(m) for m in masks))
+    return FiniteSpace(preorder)
 
 
 def from_min_opens(points: Iterable[str], min_opens: Mapping[str, Iterable[str]]) -> FiniteSpace:

@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finsplice import cli, from_preorder, preorder_from_relation
+from finsplice import cli, from_preorder, preorder_from_relation, random_space
 from finsplice.cli import main
+from finsplice.io import space_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -154,6 +156,29 @@ def test_fixtures_show(capsys):
     assert json.loads(out)["points"] == ["a", "b"]
 
 
+FIXTURE_OPENS = {
+    "SIERP": [[], ["a", "b"], ["b"]],
+    "INDISC2": [[], ["x", "y"]],
+    "PSEUDO_S1": [[], ["a"], ["a", "b"], ["a", "b", "c"], ["a", "b", "c", "d"], ["a", "b", "d"], ["b"]],
+    "PSEUDO_S1_DUP": [
+        [], ["a"], ["a", "b"], ["a", "b", "c", "c'"], ["a", "b", "c", "c'", "d"], ["a", "b", "d"], ["b"]
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_OPENS))
+def test_fixtures_show_and_export_print_the_opens(capsys, tmp_path, name):
+    points = sorted({p for o in FIXTURE_OPENS[name] for p in o})
+    expected = {"format": "finsplice-space/1", "points": points, "opens": FIXTURE_OPENS[name]}
+    code, out, _ = run(capsys, "fixtures", "show", name)
+    assert code == 0
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    path = tmp_path / "space.json"
+    code, _, _ = run(capsys, "fixtures", "export", name, str(path))
+    assert code == 0
+    assert path.read_text(encoding="utf-8") == out
+
+
 def test_export_then_input_matches_fixture(capsys, tmp_path):
     path = tmp_path / "sierp.json"
     code, _, _ = run(capsys, "fixtures", "export", "SIERP", str(path))
@@ -180,11 +205,113 @@ def test_random_space_on_many_points_finishes(capsys, points):
     assert out.startswith(f"points: {points} ")
 
 
-def test_random_space_with_ten_thousand_opens_is_validated_quickly(capsys):
-    # 20 points and 10,500 opens: validation must not compare every pair of opens.
-    code, out, _ = run(capsys, "decompose", "--random", "20", "--seed", "31")
+REPORT_COMMANDS = [["decompose"], ["homology"], ["spliced", "--verify-theorem"]]
+
+
+def _write(path, document):
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return str(path)
+
+
+COMMA_POINTS = ["a", "b,c", "a,b", "c"]
+COMMA_LEQ = {
+    "T0": [["a", "b,c"], ["a,b", "c"]],
+    "not-T0": [["a", "b,c"], ["a,b", "c"], ["a,b", "b,c"], ["b,c", "a,b"]],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(COMMA_LEQ))
+@pytest.mark.parametrize("command", REPORT_COMMANDS)
+def test_point_names_with_commas_label_faces_injectively(capsys, tmp_path, variant, command):
+    # The faces (a, "b,c") and ("a,b", c) would share the label "a,b,c".
+    # Dropping the commas keeps the order of the points, so the reports agree.
+    renamed = {p: p.replace(",", "") for p in COMMA_POINTS}
+    leq = COMMA_LEQ[variant]
+    with_commas = _write(tmp_path / "commas.json", {"points": COMMA_POINTS, "leq": leq})
+    plain = _write(
+        tmp_path / "plain.json",
+        {"points": [renamed[p] for p in COMMA_POINTS], "leq": [[renamed[x], renamed[y]] for x, y in leq]},
+    )
+    code, out, err = run(capsys, *command, "--input", with_commas, "--format", "json")
+    assert (code, err) == (0, "")
+    code, expected, _ = run(capsys, *command, "--input", plain, "--format", "json")
+    assert code == 0
+    report, expected = json.loads(out), json.loads(expected)
+    assert report["space"]["t0"] is (variant == "T0")
+    assert report["complex_sizes"] == expected["complex_sizes"]
+    assert report.get("groups") == expected.get("groups")
+
+
+LARGE_INPUTS = {
+    "discrete-200": (
+        {"points": [f"p{i:03d}" for i in range(200)], "leq": []},
+        {"poset": [200], "ambient": [200], "relative": []},
+    ),
+    "doubled-pairs-100": (
+        {
+            "points": [f"p{i:03d}" for i in range(200)],
+            "leq": [[f"p{i:03d}", f"p{i ^ 1:03d}"] for i in range(200)],
+        },
+        {"poset": [100], "ambient": [200], "relative": [100]},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_INPUTS))
+@pytest.mark.parametrize("command", REPORT_COMMANDS)
+def test_large_leq_inputs_finish_in_under_a_second(capsys, tmp_path, name, command):
+    document, sizes = LARGE_INPUTS[name]
+    path = _write(tmp_path / "space.json", document)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *command, "--input", path, "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["complex_sizes"] == sizes
+    assert elapsed < 1.0
+
+
+MIN_OPENS_DOCUMENT = {
+    "points": ["a", "b", "c", "d", "e"],
+    "min_opens": {"a": ["a", "b"], "b": ["a", "b"], "c": ["c", "d"], "d": ["d"], "e": ["e"]},
+}
+SPACE_SOURCES = {
+    "leq": lambda tmp_path: ["--input", _write(tmp_path / "space.json", LARGE_INPUTS["doubled-pairs-100"][0])],
+    "min_opens": lambda tmp_path: ["--input", _write(tmp_path / "space.json", MIN_OPENS_DOCUMENT)],
+    "random": lambda tmp_path: ["--random", "12", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("source", sorted(SPACE_SOURCES))
+@pytest.mark.parametrize("command", REPORT_COMMANDS)
+def test_commands_never_list_the_opens(monkeypatch, capsys, tmp_path, source, command):
+    """Only the writers of space files list the opens; a space is its preorder."""
+    spaces = []
+
+    def keep(make):
+        def made(*args, **kwargs):
+            spaces.append(make(*args, **kwargs))
+            return spaces[-1]
+        return made
+
+    monkeypatch.setattr(cli, "load_space", keep(cli.load_space))
+    monkeypatch.setattr(cli, "random_space", keep(cli.random_space))
+    code, out, _ = run(capsys, *command, *SPACE_SOURCES[source](tmp_path), "--format", "json")
+    assert code == 0 and out
+    assert len(spaces) == 1
+    assert "opens" not in vars(spaces[0])
+
+
+def test_random_space_with_ten_thousand_opens_is_validated_quickly(capsys, tmp_path):
+    # 20 points and 10,500 opens read from a file: validation must not compare every pair of opens.
+    document = space_to_dict(random_space(20, seed=31))
+    assert len(document["opens"]) == 10_500
+    path = _write(tmp_path / "space.json", document)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "decompose", "--input", path)
+    elapsed = time.perf_counter() - start
     assert code == 0
     assert out.startswith("points: 20 ")
+    assert elapsed < 1.0
 
 
 def test_reused_parser_leaks_no_state(capsys, tmp_path):

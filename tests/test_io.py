@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finsplice import FIXTURES, PSEUDO_S1, build_pipeline, cli, specialisation_preorder
+from finsplice import FIXTURES, PSEUDO_S1, build_pipeline, cli, specialisation_preorder, validate_topology
 from finsplice.io import (
     SpaceFormatError,
     complex_from_dict,
@@ -29,6 +29,30 @@ def oracle_dumps(payload):
 def test_space_round_trip(name):
     space = FIXTURES[name]
     assert space_from_dict(space_to_dict(space)) == space
+
+
+def _file_forms(space):
+    """The space written in each of the three file forms."""
+    points, preorder = list(space.points), space.preorder
+    return {
+        "opens": {"points": points, "opens": [list(o) for o in space.opens]},
+        "min_opens": {"points": points, "min_opens": dict(zip(points, map(preorder.unmask, preorder.up)))},
+        "leq": {"points": points, "leq": [list(pair) for pair in sorted(preorder.pairs)]},
+    }
+
+
+def test_equal_topologies_are_equal_spaces(corpus):
+    spaces = [*FIXTURES.values(), *corpus[0]]
+    for space in spaces:
+        rebuilt = validate_topology(space.points, space.opens)
+        assert rebuilt == space
+        assert hash(rebuilt) == hash(space)
+        for form, document in _file_forms(space).items():
+            loaded = space_from_dict(json.loads(json.dumps(document)))
+            assert (form, loaded) == (form, space)
+            assert hash(loaded) == hash(space)
+    # Spaces are equal exactly when their points and opens are.
+    assert len(set(spaces)) == len({(s.points, s.opens) for s in spaces})
 
 
 def test_space_file_round_trip(tmp_path):

@@ -29,7 +29,7 @@ from finsplice import (
     validate_topology,
 )
 from finsplice.fixtures import point_names
-from finsplice.spaces import _generated_by_minimal_opens
+from finsplice.spaces import _minimal_opens, _union_closure
 
 
 def oracle_closure(space, subset):
@@ -248,7 +248,8 @@ def test_validation_matches_pairwise_scan(family):
         # A topology never falls back to the pairwise scan.
         index = {p: i for i, p in enumerate(sorted(points))}
         masks = {sum(1 << index[p] for p in o) for o in opens}
-        assert _generated_by_minimal_opens(masks, len(points)) == (expected[0] == "ok")
+        closure = _union_closure(_minimal_opens(masks, len(points)), len(masks))
+        assert (closure == masks) == (expected[0] == "ok")
 
 
 def test_unknown_point_in_open():
