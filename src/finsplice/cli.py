@@ -17,7 +17,7 @@ import functools
 import sys
 from typing import Sequence
 
-from .complexes import cochain
+from .complexes import cochain, escape_names
 from .fixtures import FIXTURES, random_space
 from .homology import GroupPresentation, all_groups
 from .io import (
@@ -155,9 +155,9 @@ def cmd_decompose(args, parser: _Parser) -> int:
     lines = [f"points: {len(data.space.points)} (T0: {'yes' if data.t0 else 'no'})"]
     lines += _warning_lines(data)
     dec = data.decomposition
-    lines.append("classes: " + " ".join("{" + ", ".join(cls) + "}" for cls in dec.classes))
-    lines.append("representatives: " + ", ".join(dec.representatives))
-    lines.append("complementary: " + (", ".join(dec.complementary) or "(none)"))
+    lines.append("classes: " + " ".join("{" + ", ".join(escape_names(cls)) + "}" for cls in dec.classes))
+    lines.append("representatives: " + ", ".join(escape_names(dec.representatives)))
+    lines.append("complementary: " + (", ".join(escape_names(dec.complementary)) or "(none)"))
     print("\n".join(lines))
     return 0
 

@@ -9,12 +9,12 @@ the faces outside the subcomplex with their subcomplex entries dropped,
 and the cochain complex transposes.  Both builders write each column
 already canonical (sorted rows, no zeros), so no matrix is re-summed.
 
-The `ChainComplex` constructor checks, on the sparse form, that
-consecutive differentials compose to zero; chain and relative complexes
-go through it.  A cochain inherits the check: its maps are the
-transposes of a checked chain's maps, and transposes compose to zero
-exactly when the originals do, so `cochain` wraps them without a second
-product.
+Constructors here check nothing; outside input is checked in `io` and
+`spaces`.  The one check on the program's own output, that consecutive
+differentials compose to zero, is in `checked_complex`, which chain,
+relative and spliced complexes go through.  A cochain inherits it: the
+transposes of a checked chain's maps compose to zero, so `cochain` wraps
+them without a second product.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .matrices import IntMatrix
 from .orders import strictify
-from .spaces import Preorder, UnknownPoint
+from .spaces import Preorder
 
 if TYPE_CHECKING:
     from .homology import SmithTable
@@ -46,45 +46,10 @@ class NotASubcomplex(ValueError):
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Faces grouped by dimension; nonempty, downward closed, vertex-covering."""
+    """Faces by dimension, each sorted; `order_complex` makes them downward closed and vertex-covering."""
 
     vertices: tuple[str, ...]
     faces_by_dim: tuple[tuple[tuple[str, ...], ...], ...]
-
-    def __post_init__(self):
-        vertices = tuple(sorted(str(v) for v in self.vertices))
-        if len(set(vertices)) != len(vertices):
-            raise ValueError("duplicate vertices")
-        faces_by_dim = tuple(
-            tuple(sorted(tuple(f) for f in faces)) for faces in self.faces_by_dim
-        )
-        known = set(vertices)
-        previous: set[tuple[str, ...]] = set()
-        for dim, faces in enumerate(faces_by_dim):
-            if not faces:
-                raise ValueError(f"empty face list at dimension {dim}")
-            for face in faces:
-                if len(face) != dim + 1:
-                    raise ValueError(f"face {face} has wrong size for dimension {dim}")
-                if len(set(face)) != len(face):
-                    raise ValueError(f"face {face} repeats a vertex")
-                for v in face:
-                    if v not in known:
-                        raise UnknownPoint(v)
-                if dim > 0:
-                    for i in range(len(face)):
-                        sub = face[:i] + face[i + 1:]
-                        if sub not in previous:
-                            raise ValueError(f"face {face} is missing its subface {sub}")
-            previous = set(faces)
-        if faces_by_dim:
-            zero_faces = {f[0] for f in faces_by_dim[0]}
-            if zero_faces != known:
-                raise ValueError("vertex set and 0-faces disagree")
-        elif vertices:
-            raise ValueError("vertices given but no 0-faces")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "faces_by_dim", faces_by_dim)
 
     @property
     def dim(self) -> int:
@@ -114,7 +79,8 @@ def order_complex(
     pair must decompose first.  Each chosen point's successors are read
     off its row.  Chains are enumerated depth first: each chain starts at
     one point and grows only by strict successors of its last point, so
-    every chain is listed exactly once, already ascending.
+    every chain is listed exactly once, already ascending; each
+    dimension's faces are then sorted.
     """
     if relation not in ("leq", "strict"):
         raise ValueError(f"unknown relation selector {relation!r}")
@@ -142,7 +108,7 @@ def order_complex(
             faces_by_dim.append([])
         faces_by_dim[len(chain) - 1].append(chain)
         stack.extend(chain + (y,) for y in above[chain[-1]])
-    return SimplicialComplex(pts, tuple(faces_by_dim))
+    return SimplicialComplex(pts, tuple(tuple(sorted(faces)) for faces in faces_by_dim))
 
 
 def is_subcomplex(candidate: SimplicialComplex, ambient: SimplicialComplex) -> bool:
@@ -161,49 +127,13 @@ class ChainComplex:
     Homological complexes lower degree, cohomological raise it.  maps[i]
     is the matrix of the differential between degrees i and i+1, written
     target-by-source, so its shape is dim(i) x dim(i+1) in the homological
-    case and dim(i+1) x dim(i) in the cohomological case.  Consecutive
-    maps must compose to zero and the top degree must be nonempty.
+    case and dim(i+1) x dim(i) in the cohomological case.  Built through
+    `checked_complex`, its maps compose to zero and its top degree is nonempty.
     """
 
     direction: str
     basis: tuple[tuple[str, ...], ...]
     maps: tuple[IntMatrix, ...]
-
-    def __post_init__(self):
-        if self.direction not in (HOMOLOGICAL, COHOMOLOGICAL):
-            raise ValueError(f"unknown direction {self.direction!r}")
-        basis = tuple(tuple(str(b) for b in labels) for labels in self.basis)
-        for k, labels in enumerate(basis):
-            if len(set(labels)) != len(labels):
-                raise ValueError(f"duplicate basis labels at degree {k}")
-        if basis and not basis[-1]:
-            raise ValueError("trailing empty degree; trim the basis")
-        maps = tuple(self.maps)
-        if len(maps) != max(len(basis) - 1, 0):
-            raise ValueError(f"expected {max(len(basis) - 1, 0)} differentials, got {len(maps)}")
-        for i, m in enumerate(maps):
-            lo, hi = len(basis[i]), len(basis[i + 1])
-            want = (lo, hi) if self.direction == HOMOLOGICAL else (hi, lo)
-            if (m.rows, m.cols) != want:
-                raise ValueError(f"differential {i} has shape {m.rows}x{m.cols}, expected {want[0]}x{want[1]}")
-        for i in range(len(maps) - 1):
-            if self.direction == HOMOLOGICAL:
-                composite = maps[i].mul(maps[i + 1])
-            else:
-                composite = maps[i + 1].mul(maps[i])
-            if not composite.is_zero():
-                raise ValueError(f"differentials at degrees {i}..{i + 2} do not compose to zero")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "maps", maps)
-
-    @classmethod
-    def _checked(cls, direction: str, basis: tuple, maps: tuple) -> "ChainComplex":
-        """Wrap a basis and maps that already passed the constructor's checks."""
-        complex_ = cls.__new__(cls)
-        object.__setattr__(complex_, "direction", direction)
-        object.__setattr__(complex_, "basis", basis)
-        object.__setattr__(complex_, "maps", maps)
-        return complex_
 
     @property
     def top_degree(self) -> int:
@@ -243,18 +173,32 @@ def zero_complex(direction: str = COHOMOLOGICAL) -> ChainComplex:
     return ChainComplex(direction, (), ())
 
 
-def _trimmed(direction: str, basis: Sequence[tuple[str, ...]], maps: Sequence[IntMatrix]) -> ChainComplex:
-    """Drop trailing empty degrees and their maps; an all-empty basis gives the zero complex."""
+def checked_complex(direction: str, basis: Sequence[tuple[str, ...]], maps: Sequence[IntMatrix]) -> ChainComplex:
+    """The complex, trailing empty degrees dropped, once its maps compose to zero.
+
+    A map whose shape does not meet its neighbour's raises in `IntMatrix.mul`.  An
+    all-empty basis gives the zero complex.
+    """
     top = -1
     for k, labels in enumerate(basis):
         if labels:
             top = k
-    return ChainComplex(direction, tuple(basis[: top + 1]), tuple(maps[: max(top, 0)]))
+    basis, maps = tuple(basis[: top + 1]), tuple(maps[: max(top, 0)])
+    for i in range(len(maps) - 1):
+        first, second = (maps[i], maps[i + 1]) if direction == HOMOLOGICAL else (maps[i + 1], maps[i])
+        if not first.mul(second).is_zero():
+            raise ValueError(f"differentials at degrees {i}..{i + 2} do not compose to zero")
+    return ChainComplex(direction, basis, maps)
+
+
+def escape_names(names: Iterable[str]) -> list[str]:
+    """Each name with a `\\` before every `\\` and `,`, so names joined by commas read back uniquely."""
+    return [v.replace("\\", "\\\\").replace(",", "\\,") for v in names]
 
 
 def face_label(face: tuple[str, ...]) -> str:
-    """The vertices joined by commas; `\\` and `,` in a vertex get a `\\`, so labels are injective."""
-    return ",".join([v.replace("\\", "\\\\").replace(",", "\\,") for v in face])
+    """The vertices, escaped by `escape_names`, joined by commas, so labels are injective."""
+    return ",".join(escape_names(face))
 
 
 def chain_complex(complex_: SimplicialComplex) -> ChainComplex:
@@ -275,7 +219,7 @@ def chain_complex(complex_: SimplicialComplex) -> ChainComplex:
             for face in complex_.faces_by_dim[k]
         ])
         maps.append(IntMatrix._canonical(len(rows), len(columns), columns))
-    return _trimmed(HOMOLOGICAL, basis, maps)
+    return checked_complex(HOMOLOGICAL, basis, maps)
 
 
 def relative_chain_complex(ambient: ChainComplex, sub: ChainComplex) -> ChainComplex:
@@ -305,7 +249,7 @@ def relative_chain_complex(ambient: ChainComplex, sub: ChainComplex) -> ChainCom
         rows = {i: new for new, i in enumerate(keep[k])}
         columns = tuple([tuple([(rows[i], x) for i, x in m.columns[j] if i in rows]) for j in keep[k + 1]])
         maps.append(IntMatrix._canonical(len(rows), len(columns), columns))
-    return _trimmed(HOMOLOGICAL, basis, maps)
+    return checked_complex(HOMOLOGICAL, basis, maps)
 
 
 def cochain(chain: ChainComplex) -> ChainComplex:
@@ -316,4 +260,4 @@ def cochain(chain: ChainComplex) -> ChainComplex:
     """
     if chain.direction != HOMOLOGICAL:
         raise ValueError("cochain expects a homological complex")
-    return ChainComplex._checked(COHOMOLOGICAL, chain.basis, tuple(m.transpose() for m in chain.maps))
+    return ChainComplex(COHOMOLOGICAL, chain.basis, tuple(m.transpose() for m in chain.maps))

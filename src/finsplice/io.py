@@ -3,7 +3,8 @@
 Space files carry `points` plus exactly one of `opens`, `min_opens`, or
 `leq`.  The optional `format` field pins the schema version.  Relation
 input is completed to a preorder by reflexive-transitive closure; only
-`opens` input and the written form list the opens.
+`opens` input and the written form list the opens.  Space files are the
+one outside input, so they are checked here; complexes are only written.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .complexes import ChainComplex
-from .matrices import IntMatrix
 from .spaces import FiniteSpace, from_min_opens, from_preorder, preorder_from_relation, validate_topology
 
 SPACE_FORMAT = "finsplice-space/1"
@@ -78,8 +78,12 @@ def space_from_dict(data: dict) -> FiniteSpace:
     message = "'leq' must be an array of two-element arrays of strings"
     if not isinstance(value, list):
         raise SpaceFormatError(message)
-    pairs = [_strings(pair, message) for pair in value]
-    if any(len(pair) != 2 for pair in pairs):
+    # A pair of the wrong length is named only once every pair is known to be strings.
+    pairs, paired = [], True
+    for pair in value:
+        pairs.append(_strings(pair, message))
+        paired = paired and len(pair) == 2
+    if not paired:
         raise SpaceFormatError(message)
     return from_preorder(preorder_from_relation(points, pairs))
 
@@ -106,16 +110,6 @@ def complex_to_dict(complex_: ChainComplex) -> dict:
             for m in complex_.maps
         ],
     }
-
-
-def complex_from_dict(data: dict) -> ChainComplex:
-    if data.get("format", COMPLEX_FORMAT) != COMPLEX_FORMAT:
-        raise ValueError(f"unsupported complex format {data.get('format')!r}")
-    maps = tuple(
-        IntMatrix(m["rows"], m["cols"], tuple(tuple(row) for row in m["entries"]))
-        for m in data["maps"]
-    )
-    return ChainComplex(data["direction"], tuple(tuple(b) for b in data["basis"]), maps)
 
 
 def dumps(payload: dict) -> str:

@@ -21,27 +21,11 @@ from .spaces import Preorder
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Poset part (representatives), complementary part, and the class map."""
+    """Poset part (representatives), complementary part, and the indistinguishability classes."""
 
     representatives: tuple[str, ...]
     complementary: tuple[str, ...]
     classes: tuple[tuple[str, ...], ...]
-    class_of: dict[str, str]
-
-    def __post_init__(self):
-        reps = set(self.representatives)
-        comp = set(self.complementary)
-        if reps & comp:
-            raise ValueError("representatives and complementary overlap")
-        all_points = {p for cls in self.classes for p in cls}
-        if reps | comp != all_points:
-            raise ValueError("representatives and complementary do not partition the points")
-        for cls in self.classes:
-            if sum(1 for p in cls if p in reps) != 1:
-                raise ValueError(f"class {cls} does not have exactly one representative")
-        for r in self.representatives:
-            if self.class_of[r] != r:
-                raise ValueError(f"representative {r} is not its own class representative")
 
 
 def strictify(preorder: Preorder) -> Preorder:
@@ -85,8 +69,7 @@ def decompose(preorder: Preorder, policy: str = "least") -> Decomposition:
         raise ValueError(f"unknown representative policy {policy!r}")
     pick = 0 if policy == "least" else -1
     classes = equivalence_classes(preorder)
-    class_of = {p: cls[pick] for cls in classes for p in cls}
     representatives = tuple(sorted(cls[pick] for cls in classes))
     chosen = set(representatives)
     complementary = tuple(p for p in preorder.points if p not in chosen)
-    return Decomposition(representatives, complementary, classes, class_of)
+    return Decomposition(representatives, complementary, classes)

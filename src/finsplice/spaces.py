@@ -381,7 +381,6 @@ def preorder_from_relation(points: Iterable[str], pairs: Iterable[tuple[str, str
     index = {p: i for i, p in enumerate(pts)}
     reach = [1 << i for i in range(len(pts))]
     for x, y in pairs:
-        x, y = str(x), str(y)
         if x not in index:
             raise UnknownPoint(x)
         if y not in index:

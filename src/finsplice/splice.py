@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import COHOMOLOGICAL, HOMOLOGICAL, ChainComplex, _trimmed
+from .complexes import COHOMOLOGICAL, HOMOLOGICAL, ChainComplex, checked_complex
 from .homology import GroupPresentation, all_groups
 from .matrices import IntMatrix
 
@@ -69,7 +69,7 @@ class SplicedComplex:
         for end in range(n - 1, len(basis) - 1, n):
             lo, hi = len(basis[end]), len(basis[end + 1])
             maps[end] = IntMatrix.zeros(*((lo, hi) if direction == HOMOLOGICAL else (hi, lo)))
-        return _trimmed(direction, basis, maps)
+        return checked_complex(direction, basis, maps)
 
 
 def splice(sources: Sequence[ChainComplex], length: int) -> SplicedComplex:

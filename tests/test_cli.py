@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finsplice import cli, from_preorder, preorder_from_relation, random_space
+from finsplice import POSET_WARNING, cli, from_preorder, preorder_from_relation, random_space
 from finsplice.cli import main
 from finsplice.io import space_to_dict
 
@@ -217,6 +217,30 @@ COMMA_POINTS = ["a", "b,c", "a,b", "c"]
 COMMA_LEQ = {
     "T0": [["a", "b,c"], ["a,b", "c"]],
     "not-T0": [["a", "b,c"], ["a,b", "c"], ["a,b", "b,c"], ["b,c", "a,b"]],
+    "twin-a": [["a", "b,c"], ["b,c", "a"], ["a,b", "c"]],
+}
+# The decompose table escapes names as face labels do; unescaped, "twin-a"
+# would read "{a, b,c} {a,b} {c}" and "representatives: a, a,b, c".
+COMMA_TABLES = {
+    "T0": [
+        "points: 4 (T0: yes)",
+        f"warning: {POSET_WARNING}",
+        "classes: {a} {a\\,b} {b\\,c} {c}",
+        "representatives: a, a\\,b, b\\,c, c",
+        "complementary: (none)",
+    ],
+    "not-T0": [
+        "points: 4 (T0: no)",
+        "classes: {a} {a\\,b, b\\,c} {c}",
+        "representatives: a, a\\,b, c",
+        "complementary: b\\,c",
+    ],
+    "twin-a": [
+        "points: 4 (T0: no)",
+        "classes: {a, b\\,c} {a\\,b} {c}",
+        "representatives: a, a\\,b, c",
+        "complementary: b\\,c",
+    ],
 }
 
 
@@ -240,6 +264,9 @@ def test_point_names_with_commas_label_faces_injectively(capsys, tmp_path, varia
     assert report["space"]["t0"] is (variant == "T0")
     assert report["complex_sizes"] == expected["complex_sizes"]
     assert report.get("groups") == expected.get("groups")
+    if command == ["decompose"]:
+        code, out, _ = run(capsys, "decompose", "--input", with_commas)
+        assert (code, out.splitlines()) == (0, COMMA_TABLES[variant])
 
 
 LARGE_INPUTS = {

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from finsplice import (
     FIXTURES,
-    ChainComplex,
     INDISC2,
     IntMatrix,
     NotAPoset,
@@ -29,7 +28,7 @@ from finsplice import (
     strictify,
     zero_complex,
 )
-from finsplice.complexes import COHOMOLOGICAL, HOMOLOGICAL, face_label
+from finsplice.complexes import COHOMOLOGICAL, HOMOLOGICAL, checked_complex, face_label
 from test_orders import oracle_strictify_pairs
 from test_spaces import blown_up_fixtures, relations
 
@@ -200,7 +199,7 @@ def test_compositions_are_zero(pipelines):
 def test_chain_complex_rejects_bad_composition():
     m = IntMatrix.from_rows([[1]])
     with pytest.raises(ValueError):
-        ChainComplex("homological", (("x",), ("y",), ("z",)), (m, m))
+        checked_complex("homological", (("x",), ("y",), ("z",)), (m, m))
 
 
 @pytest.mark.parametrize("direction", ["homological", "cohomological"])
@@ -212,7 +211,7 @@ def test_chain_complex_rejects_composite_nonzero_off_the_corner(direction):
     basis = (("x", "y"), ("u", "v"), ("w",))
     maps = (first, second if direction == "homological" else second.transpose())
     with pytest.raises(ValueError, match="do not compose to zero"):
-        ChainComplex(direction, basis, maps)
+        checked_complex(direction, basis, maps)
 
 
 def test_poset_part_is_subcomplex_everywhere(pipelines):
@@ -280,7 +279,10 @@ def test_order_complex_matches_combination_enumerator_on_blown_up_fixtures():
 
 
 def reference_chain_complex(complex_):
-    """Boundary matrices through `IntMatrix.from_columns`, which sums and sorts every column."""
+    """Boundary matrices through `IntMatrix.from_columns`, which sums and sorts every column.
+
+    The complex is built by `checked_complex`, so the oracle checks d∘d = 0 too.
+    """
     basis = tuple(tuple(face_label(f) for f in faces) for faces in complex_.faces_by_dim)
     maps = []
     for k in range(1, len(complex_.faces_by_dim)):
@@ -290,7 +292,7 @@ def reference_chain_complex(complex_):
             for face in complex_.faces_by_dim[k]
         ]
         maps.append(IntMatrix.from_columns(len(rows), len(columns), columns))
-    return ChainComplex(HOMOLOGICAL, basis, tuple(maps))
+    return checked_complex(HOMOLOGICAL, basis, tuple(maps))
 
 
 def reference_relative_maps(ambient, sub):
@@ -307,24 +309,27 @@ def reference_relative_maps(ambient, sub):
     return maps
 
 
+def reference_cochain(chain):
+    """The transposed maps, checked again in the cohomological direction."""
+    return checked_complex(COHOMOLOGICAL, chain.basis, tuple(m.transpose() for m in chain.maps))
+
+
 def assert_canonical_construction(ambient_complex, sub_complex):
-    """Both builders give the reference matrices, and every cochain passes the full constructor."""
+    """Both builders give the reference matrices, and every cochain passes the d∘d check again."""
     ambient, sub = chain_complex(ambient_complex), chain_complex(sub_complex)
     assert ambient == reference_chain_complex(ambient_complex)
     assert sub == reference_chain_complex(sub_complex)
     relative = relative_chain_complex(ambient, sub)
     assert relative.maps == tuple(reference_relative_maps(ambient, sub)[: len(relative.maps)])
     for cc in (ambient, sub, relative):
-        assert cochain(cc) == ChainComplex(COHOMOLOGICAL, cc.basis, tuple(m.transpose() for m in cc.maps))
+        assert cochain(cc) == reference_cochain(cc)
 
 
 def test_canonical_construction_matches_reference_on_fixtures():
     for space in FIXTURES.values():
         data = build_pipeline(space)
         assert_canonical_construction(data.ambient_complex, data.sub_complex)
-        assert data.poset_cochain == ChainComplex(
-            COHOMOLOGICAL, data.poset_chain.basis, tuple(m.transpose() for m in data.poset_chain.maps)
-        )
+        assert data.poset_cochain == reference_cochain(data.poset_chain)
 
 
 def test_canonical_construction_matches_reference_on_corpus(pipelines):

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from finsplice import FIXTURES, PSEUDO_S1, build_pipeline, cli, specialisation_preorder, validate_topology
 from finsplice.io import (
     SpaceFormatError,
-    complex_from_dict,
     complex_to_dict,
     dump_space,
     dumps,
@@ -97,12 +96,6 @@ def test_rejects_bad_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(SpaceFormatError):
         load_space(path)
-
-
-def test_complex_round_trip():
-    data = build_pipeline(FIXTURES["PSEUDO_S1_DUP"])
-    for cc in (data.ambient_chain, data.relative_cochain):
-        assert complex_from_dict(complex_to_dict(cc)) == cc
 
 
 def test_complex_golden_file():

@@ -54,7 +54,6 @@ def assert_preorder_layers_match_oracles(preorder):
         assert dec.classes == classes
         assert dec.representatives == tuple(sorted(cls[pick] for cls in classes))
         assert dec.complementary == tuple(sorted(p for cls in classes for p in cls if p != cls[pick]))
-        assert dec.class_of == {p: cls[pick] for cls in classes for p in cls}
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +110,6 @@ def test_decompose_dup(dup_preorder):
     dec = decompose(dup_preorder)
     assert dec.representatives == ("a", "b", "c", "d")
     assert dec.complementary == ("c'",)
-    assert dec.class_of["c'"] == "c"
 
 
 def test_decompose_greatest_policy(dup_preorder):
