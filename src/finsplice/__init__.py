@@ -16,10 +16,8 @@ from .complexes import (
     SimplicialComplex,
     chain_complex,
     cochain,
-    is_subcomplex,
     order_complex,
     relative_chain_complex,
-    zero_complex,
 )
 from .fixtures import FIXTURES, INDISC2, PSEUDO_S1, PSEUDO_S1_DUP, SIERP, random_corpus, random_space
 from .homology import (
@@ -42,7 +40,6 @@ from .spaces import (
     Preorder,
     TopologyError,
     UnknownPoint,
-    closure,
     from_min_opens,
     from_preorder,
     preorder_from_relation,
@@ -53,11 +50,9 @@ from .splice import (
     ComparisonReport,
     ComparisonRow,
     InvalidLength,
-    LengthTooSmall,
     NoSources,
     SplicedComplex,
     compare,
-    limit_check,
     splice,
     splice_negative,
     spliced_cohomology,

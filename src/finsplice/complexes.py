@@ -3,18 +3,24 @@
 The order complex of a poset has the chains (totally ordered subsets) as
 faces.  Faces are stored in relation-ascending vertex order, so the
 boundary of [v0 < ... < vk] is the usual alternating sum over deleted
-vertices.  Chain complexes carry column-sparse integer matrices: each
-face's boundary is one column, the relative complex keeps the columns of
-the faces outside the subcomplex with their subcomplex entries dropped,
-and the cochain complex transposes.  Both builders write each column
-already canonical (sorted rows, no zeros), so no matrix is re-summed.
+vertices.  Chain complexes carry column-sparse integer matrices, one
+layout for both directions: maps[i] is the boundary from degree i+1 to
+degree i, one column per face of degree i+1.  The relative complex keeps
+the columns of the faces outside the subcomplex with their subcomplex
+entries dropped.  Both builders write each column already canonical
+(sorted rows, no zeros), so no matrix is re-summed.
+
+The cochain complex is the dual Hom(C, Z), whose coboundary is the
+transposed boundary.  A matrix and its transpose share one Smith
+diagonal, so a cochain holds its chain's maps as they are and reads them
+transposed; its groups are reduced in the boundary orientation, whose
+short columns the unit-pivot pass of `homology` eliminates first.
 
 Constructors here check nothing; outside input is checked in `io` and
 `spaces`.  The one check on the program's own output, that consecutive
 differentials compose to zero, is in `checked_complex`, which chain,
-relative and spliced complexes go through.  A cochain inherits it: the
-transposes of a checked chain's maps compose to zero, so `cochain` wraps
-them without a second product.
+relative and spliced complexes go through.  A cochain shares its chain's
+maps, so the chain's check covers it.
 """
 
 from __future__ import annotations
@@ -63,9 +69,6 @@ class SimplicialComplex:
     def face_counts(self) -> tuple[int, ...]:
         return tuple(len(faces) for faces in self.faces_by_dim)
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * len(faces) for k, faces in enumerate(self.faces_by_dim))
-
 
 def order_complex(
     preorder: Preorder,
@@ -111,24 +114,18 @@ def order_complex(
     return SimplicialComplex(pts, tuple(tuple(sorted(faces)) for faces in faces_by_dim))
 
 
-def is_subcomplex(candidate: SimplicialComplex, ambient: SimplicialComplex) -> bool:
-    """True when every face of the candidate is a face of the ambient complex."""
-    for dim, faces in enumerate(candidate.faces_by_dim):
-        ambient_faces = set(ambient.faces(dim))
-        if any(face not in ambient_faces for face in faces):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ChainComplex:
     """Graded free abelian groups with integer differentials.
 
-    Homological complexes lower degree, cohomological raise it.  maps[i]
-    is the matrix of the differential between degrees i and i+1, written
-    target-by-source, so its shape is dim(i) x dim(i+1) in the homological
-    case and dim(i+1) x dim(i) in the cohomological case.  Built through
-    `checked_complex`, its maps compose to zero and its top degree is nonempty.
+    Homological complexes lower degree, cohomological raise it.  In both
+    directions maps[i] is the boundary from degree i+1 to degree i, of
+    shape dim(i) x dim(i+1); a cohomological complex reads it transposed as
+    its coboundary from degree i to i+1.  Ranks and Smith diagonals do not
+    change under transposition, so of the group readers only
+    `SmithTable.group` and `spliced_cohomology`, which tell a kernel from a
+    cokernel, read the direction.  Built through `checked_complex`, its maps
+    compose to zero and its top degree is nonempty.
     """
 
     direction: str
@@ -145,21 +142,10 @@ class ChainComplex:
         return 0
 
     def map_between(self, i: int) -> IntMatrix:
-        """Differential between degrees i and i+1, zero-shaped outside range."""
+        """maps[i], the dim(i) x dim(i+1) map between degrees i and i+1, zero outside range."""
         if 0 <= i < len(self.maps):
             return self.maps[i]
-        lo, hi = self.dim(i), self.dim(i + 1)
-        if self.direction == HOMOLOGICAL:
-            return IntMatrix.zeros(lo, hi)
-        return IntMatrix.zeros(hi, lo)
-
-    def differential_from(self, k: int) -> IntMatrix:
-        """The differential whose domain is degree k."""
-        return self.map_between(k - 1 if self.direction == HOMOLOGICAL else k)
-
-    def differential_into(self, k: int) -> IntMatrix:
-        """The differential whose codomain is degree k."""
-        return self.map_between(k if self.direction == HOMOLOGICAL else k - 1)
+        return IntMatrix.zeros(self.dim(i), self.dim(i + 1))
 
     @cached_property
     def smith(self) -> SmithTable:
@@ -169,15 +155,14 @@ class ChainComplex:
         return SmithTable.of(self)
 
 
-def zero_complex(direction: str = COHOMOLOGICAL) -> ChainComplex:
-    return ChainComplex(direction, (), ())
-
-
 def checked_complex(direction: str, basis: Sequence[tuple[str, ...]], maps: Sequence[IntMatrix]) -> ChainComplex:
     """The complex, trailing empty degrees dropped, once its maps compose to zero.
 
-    A map whose shape does not meet its neighbour's raises in `IntMatrix.mul`.  An
-    all-empty basis gives the zero complex.
+    The maps are in the one layout of `ChainComplex` whatever the direction,
+    so the check is maps[i] times maps[i+1]; for a cochain that product is
+    the transpose of the composite coboundary.  A map whose shape does not
+    meet its neighbour's raises in `IntMatrix.mul`.  An all-empty basis
+    gives the zero complex.
     """
     top = -1
     for k, labels in enumerate(basis):
@@ -185,8 +170,7 @@ def checked_complex(direction: str, basis: Sequence[tuple[str, ...]], maps: Sequ
             top = k
     basis, maps = tuple(basis[: top + 1]), tuple(maps[: max(top, 0)])
     for i in range(len(maps) - 1):
-        first, second = (maps[i], maps[i + 1]) if direction == HOMOLOGICAL else (maps[i + 1], maps[i])
-        if not first.mul(second).is_zero():
+        if not maps[i].mul(maps[i + 1]).is_zero():
             raise ValueError(f"differentials at degrees {i}..{i + 2} do not compose to zero")
     return ChainComplex(direction, basis, maps)
 
@@ -253,11 +237,21 @@ def relative_chain_complex(ambient: ChainComplex, sub: ChainComplex) -> ChainCom
 
 
 def cochain(chain: ChainComplex) -> ChainComplex:
-    """Dualize a homological complex: same bases, transposed differentials.
+    """The dual complex Hom(C, Z): the same bases and the very same maps, read transposed.
 
-    The chain's maps compose to zero, so their transposes do too; the
-    dual is wrapped without repeating that check.
+    The coboundary from degree k to k+1 is the transpose of the boundary
+    maps[k], and the two share one Smith diagonal, so the dual keeps the
+    boundary orientation that reduces cheaply.  The chain's maps compose to
+    zero, so the dual is wrapped without repeating that check.  The
+    four-point circle has H^1 = Z:
+
+    >>> from finsplice import PSEUDO_S1, build_pipeline
+    >>> circle = build_pipeline(PSEUDO_S1).poset_chain
+    >>> cochain(circle).maps is circle.maps
+    True
+    >>> str(cochain(circle).smith.group(1))
+    'Z'
     """
     if chain.direction != HOMOLOGICAL:
         raise ValueError("cochain expects a homological complex")
-    return ChainComplex(COHOMOLOGICAL, chain.basis, tuple(m.transpose() for m in chain.maps))
+    return ChainComplex(COHOMOLOGICAL, chain.basis, chain.maps)

@@ -5,11 +5,18 @@ reduces to the Smith normal form of the differentials, computed once per
 complex into a `SmithTable`, from which `SmithTable.group` reads every
 group: kernels, cokernels and kernel modulo image alike.
 
+Every complex holds its maps as boundaries, dim(i) x dim(i+1) (see
+`complexes`); a cochain complex shares its chain's maps and reads them
+transposed.  A matrix and its transpose have the same Smith diagonal, so
+a cochain's table is computed on the boundary matrices; the direction
+only tells `SmithTable.group` which map leaves a degree and which enters.
+
 The Smith normal form first eliminates +-1 pivots on the column-sparse
 matrix, as in Dumas, Saunders and Villard, "On efficient sparse integer
 matrix Smith normal form computations" (J. Symb. Comput. 32, 2001); each
-adds a 1 to the diagonal.  Boundary maps of order complexes reduce almost
-entirely this way, and the dense elimination runs only on the leftover
+adds a 1 to the diagonal.  Boundary maps of order complexes, whose
+columns hold k+1 entries each, reduce almost entirely this way, short
+columns first, and the dense elimination runs only on the leftover
 block.  Unimodular transforms, when asked for, come from the dense
 elimination of the whole matrix, which also serves the tests as oracle.
 """

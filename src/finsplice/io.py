@@ -13,7 +13,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .complexes import ChainComplex
+from .complexes import COHOMOLOGICAL, ChainComplex
 from .spaces import FiniteSpace, from_min_opens, from_preorder, preorder_from_relation, validate_topology
 
 SPACE_FORMAT = "finsplice-space/1"
@@ -101,14 +101,20 @@ def dump_space(space: FiniteSpace, path: str | Path) -> None:
 
 
 def complex_to_dict(complex_: ChainComplex) -> dict:
+    """The `finsplice-complex/1` form, each map written target-by-source.
+
+    A cochain holds its chain's boundary maps and reads them transposed
+    (see `complexes`), so its coboundaries are transposed here: the one
+    transpose in the program.
+    """
+    maps = complex_.maps
+    if complex_.direction == COHOMOLOGICAL:
+        maps = tuple(m.transpose() for m in maps)
     return {
         "format": COMPLEX_FORMAT,
         "direction": complex_.direction,
         "basis": [list(labels) for labels in complex_.basis],
-        "maps": [
-            {"rows": m.rows, "cols": m.cols, "entries": m.to_lists()}
-            for m in complex_.maps
-        ],
+        "maps": [{"rows": m.rows, "cols": m.cols, "entries": m.to_lists()} for m in maps],
     }
 
 

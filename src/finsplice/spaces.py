@@ -11,7 +11,7 @@ Subsets of the points are bitmasks over the sorted points, and a
 `Preorder` is one such row per point: its up-set, which is also the
 point's minimal open, kept with the transposed down-set rows.  Every
 layer that reads a preorder works on these rows with word operations;
-the (x, y) pairs are only a derived view.  Relation input is closed by
+(x, y) pairs appear only in relation input.  Relation input is closed by
 Warshall's algorithm on the rows, and minimal-open generators and
 explicit families are intersected into rows, so no input form lists the
 opens or the 2^n subsets of the points.
@@ -149,8 +149,7 @@ class Preorder:
     (x, y) pairs meaning x <= y; `from_rows` takes the rows directly.  Both
     validate: every bit i of up[i] is set, and up[j] lies inside up[i] for
     every j in up[i].  Violations are named in sorted order, so the message
-    does not depend on the iteration order of the input.  `pairs` and `leq`
-    are views derived from the rows.
+    does not depend on the iteration order of the input.
 
     The Sierpinski space, with opens {}, {b} and {a, b}, has a <= b:
 
@@ -158,8 +157,8 @@ class Preorder:
     >>> sierp = specialisation_preorder(SIERP)
     >>> sierp.points, sierp.up, sierp.down
     (('a', 'b'), (3, 2), (1, 3))
-    >>> sorted(sierp.pairs)
-    [('a', 'a'), ('a', 'b'), ('b', 'b')]
+    >>> sierp.unmask(sierp.up[0])
+    ('a', 'b')
     """
 
     points: tuple[str, ...]
@@ -250,15 +249,6 @@ class Preorder:
             m ^= low
         return tuple(out)
 
-    @property
-    def pairs(self) -> frozenset:
-        """The relation as (x, y) pairs meaning x <= y."""
-        return frozenset((x, y) for x, row in zip(self.points, self.up) for y in self.unmask(row))
-
-    def leq(self, x: str, y: str) -> bool:
-        i, j = self._position(x), self._position(y)
-        return i >= 0 and j >= 0 and bool(self.up[i] >> j & 1)
-
 
 def validate_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> FiniteSpace:
     """The space with an explicit family of opens, the one reader of such a family.
@@ -308,21 +298,6 @@ def validate_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> 
             if ma & mb not in masks:
                 raise NotClosedUnderIntersection(unmask(ma), unmask(mb))
     return FiniteSpace(Preorder.from_rows(pts, minimal))
-
-
-def closure(space: FiniteSpace, subset: Iterable[str]) -> tuple[str, ...]:
-    """Smallest closed set containing the subset: the union of its points' closures.
-
-    The closure of {y} is the down-set of y, since x <= y exactly when x
-    lies in it.
-    """
-    preorder = space.preorder
-    target = preorder.mask_of(subset)
-    result = 0
-    for i, row in enumerate(preorder.down):
-        if target >> i & 1:
-            result |= row
-    return preorder.unmask(result)
 
 
 def specialisation_preorder(space: FiniteSpace) -> Preorder:

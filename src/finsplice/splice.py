@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import COHOMOLOGICAL, HOMOLOGICAL, ChainComplex, checked_complex
-from .homology import GroupPresentation, all_groups
+from .complexes import COHOMOLOGICAL, ChainComplex, checked_complex
+from .homology import GroupPresentation
 from .matrices import IntMatrix
 
 
@@ -30,10 +30,6 @@ class InvalidLength(ValueError):
 
 
 class NoSources(ValueError):
-    pass
-
-
-class LengthTooSmall(ValueError):
     pass
 
 
@@ -58,7 +54,7 @@ class SplicedComplex:
         """The spliced complex itself, built block by block; tests use it as the oracle."""
         if len(self.sources) == 1:
             return self.sources[0]
-        direction, n = self.sources[0].direction, abs(self.length)
+        n = abs(self.length)
         basis: list[tuple[str, ...]] = []
         maps: list[IntMatrix] = []
         for block in self.blocks:
@@ -67,9 +63,8 @@ class SplicedComplex:
                 basis.append(source.basis[degree] if degree <= source.top_degree else ())
                 maps.append(source.map_between(degree))
         for end in range(n - 1, len(basis) - 1, n):
-            lo, hi = len(basis[end]), len(basis[end + 1])
-            maps[end] = IntMatrix.zeros(*((lo, hi) if direction == HOMOLOGICAL else (hi, lo)))
-        return checked_complex(direction, basis, maps)
+            maps[end] = IntMatrix.zeros(len(basis[end]), len(basis[end + 1]))
+        return checked_complex(self.sources[0].direction, basis, maps)
 
 
 def splice(sources: Sequence[ChainComplex], length: int) -> SplicedComplex:
@@ -224,25 +219,3 @@ def compare(
         rows.append(ComparisonRow(degree, direct_group, claimed_group, verdict))
     return ComparisonReport(tuple(rows))
 
-
-def limit_check(sources: Sequence[ChainComplex], length: int) -> bool:
-    """Testable reading of the large-length limits.
-
-    For length at least one past the top degree of the first source, the
-    positive splice must reproduce the first source's groups on its whole
-    support, and the negative splice must reproduce the second source's
-    groups on its support.  This is one precise rendering of the informal
-    statement that growing the length recovers the plain cohomology in the
-    positive direction and the relative cohomology in the negative one.
-    """
-    if len(sources) != 2:
-        raise ValueError("limit_check takes exactly two sources")
-    complex1, complex2 = sources
-    minimum = max(complex1.top_degree + 1, 1)
-    if length < minimum:
-        raise LengthTooSmall(f"length {length} is below {minimum}")
-    positive = splice(sources, length)
-    if spliced_cohomology(positive, complex1.top_degree) != all_groups(complex1):
-        return False
-    negative = splice_negative(sources, -length)
-    return spliced_cohomology(negative, complex2.top_degree) == all_groups(complex2)

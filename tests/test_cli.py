@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -211,6 +212,51 @@ REPORT_COMMANDS = [["decompose"], ["homology"], ["spliced", "--verify-theorem"]]
 def _write(path, document):
     path.write_text(json.dumps(document), encoding="utf-8")
     return str(path)
+
+
+# The 6-vertex real projective plane.  Its face poset (31 points, x <= y when
+# face x lies in face y) has the barycentric subdivision as order complex, so
+# H = (Z, Z/2, 0) and, by universal coefficients, H^* = (Z, 0, Z/2).  A twin
+# of the edge 12 has as strict-order star the cone over the link of 12, the
+# 4-cycle 1, 123, 2, 126: the ambient is the plane with a disc glued along a
+# circle, so the relative cohomology is that of (disc, circle), (0, 0, Z).  The
+# length-3 splice reads degrees 0-2 from the poset cochain (kernel Z, H^1 = 0,
+# cokernel H^2 = Z/2) and degrees 3-5 from the relative one (kernel 0, 0, Z).
+RP2_TRIANGLES = ("123", "126", "134", "145", "156", "235", "245", "246", "346", "356")
+RP2_GROUPS = {
+    "homology": ["Z", "Z/2", "0"],
+    "cohomology": ["Z", "0", "Z/2"],
+    "relative-cohomology": [],
+    "spliced": ["Z", "0", "Z/2", "0", "0", "0"],
+}
+RP2_DOUBLED_GROUPS = {**RP2_GROUPS, "relative-cohomology": ["0", "0", "Z"], "spliced": ["Z", "0", "Z/2", "0", "0", "Z"]}
+RP2_COMMANDS = {
+    "homology": ["homology"],
+    "cohomology": ["homology", "--theory", "cohomology"],
+    "relative-cohomology": ["homology", "--complex", "relative", "--theory", "cohomology"],
+    "spliced": ["spliced", "--length", "3", "--max-degree", "5"],
+}
+
+
+def _rp2_face_poset(doubled):
+    points = sorted({"".join(face) for t in RP2_TRIANGLES for k in (1, 2, 3) for face in itertools.combinations(t, k)})
+    leq = [[x, y] for x in points for y in points if x != y and set(x) <= set(y)]
+    if doubled:
+        points.append("12'")
+        leq += [["12", "12'"], ["12'", "12"]]
+    return {"points": points, "leq": leq}
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["plain", "12-doubled"])
+@pytest.mark.parametrize("report", sorted(RP2_COMMANDS))
+def test_projective_plane_torsion_reaches_the_report(capsys, tmp_path, doubled, report):
+    path = _write(tmp_path / "rp2.json", _rp2_face_poset(doubled))
+    code, out, _ = run(capsys, *RP2_COMMANDS[report], "--input", path, "--format", "json")
+    assert code == 0
+    document = json.loads(out)
+    assert document["space"]["point_count"] == 31 + doubled
+    expected = (RP2_DOUBLED_GROUPS if doubled else RP2_GROUPS)[report]
+    assert [g["pretty"] for g in document["groups"]] == expected
 
 
 COMMA_POINTS = ["a", "b,c", "a,b", "c"]

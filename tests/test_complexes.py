@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsplice import (
+    ChainComplex,
     FIXTURES,
     INDISC2,
     IntMatrix,
@@ -20,22 +21,22 @@ from finsplice import (
     cochain,
     decompose,
     equivalence_classes,
-    is_subcomplex,
     order_complex,
     preorder_from_relation,
     relative_chain_complex,
     specialisation_preorder,
     strictify,
-    zero_complex,
 )
 from finsplice.complexes import COHOMOLOGICAL, HOMOLOGICAL, checked_complex, face_label
+from finsplice.io import complex_to_dict
+from oracles import euler_characteristic, is_subcomplex, relation_pairs, zero_complex
 from test_orders import oracle_strictify_pairs
 from test_spaces import blown_up_fixtures, relations
 
 
 def oracle_order_complex(preorder, points=None, relation="leq"):
     """Chains found by testing every combination of points for pairwise comparability."""
-    pairs = preorder.pairs if relation == "leq" else oracle_strictify_pairs(preorder)
+    pairs = relation_pairs(preorder) if relation == "leq" else oracle_strictify_pairs(preorder)
 
     def leq(x, y):
         return (x, y) in pairs
@@ -176,7 +177,10 @@ def test_relative_rejects_non_subcomplex(dup_pipeline):
 
 
 def test_cochain_of_relative(dup_pipeline):
-    assert dup_pipeline.relative_cochain.maps[0].to_lists() == [[-1], [-1]]
+    dual = dup_pipeline.relative_cochain
+    assert (dual.direction, dual.basis) == (COHOMOLOGICAL, dup_pipeline.relative_chain.basis)
+    assert dual.maps is dup_pipeline.relative_chain.maps
+    assert dual.maps[0].to_lists() == [[-1, -1]]
 
 
 def test_cochain_of_zero_complex():
@@ -184,9 +188,12 @@ def test_cochain_of_zero_complex():
 
 
 def test_cochain_of_circle_is_transpose(circle_complex):
+    # The dual holds the boundary itself; its coboundary, as written, is the transpose.
     cc = chain_complex(circle_complex)
     dual = cochain(cc)
-    assert dual.maps[0] == cc.maps[0].transpose()
+    assert (dual.direction, dual.basis) == (COHOMOLOGICAL, cc.basis)
+    assert dual.maps is cc.maps
+    assert complex_to_dict(dual)["maps"][0]["entries"] == cc.maps[0].transpose().to_lists()
 
 
 def test_compositions_are_zero(pipelines):
@@ -204,14 +211,16 @@ def test_chain_complex_rejects_bad_composition():
 
 @pytest.mark.parametrize("direction", ["homological", "cohomological"])
 def test_chain_complex_rejects_composite_nonzero_off_the_corner(direction):
-    # Shapes 2x2 and 2x1 read either way; the composite is zero except at
-    # row 1, column 0 (homological) or row 0, column 1 (cohomological).
+    # Both directions hold the boundaries, 2x2 then 2x1; the composite is
+    # zero except at row 1, column 0.
     first = IntMatrix.from_rows([[0, 0], [0, 1]])
     second = IntMatrix.from_rows([[0], [1]])
     basis = (("x", "y"), ("u", "v"), ("w",))
-    maps = (first, second if direction == "homological" else second.transpose())
     with pytest.raises(ValueError, match="do not compose to zero"):
-        checked_complex(direction, basis, maps)
+        checked_complex(direction, basis, (first, second))
+    # Coboundaries written target-by-source are not the layout: their shapes do not meet.
+    with pytest.raises(ValueError, match="shape mismatch"):
+        checked_complex(direction, basis, (first.transpose(), second.transpose()))
 
 
 def test_poset_part_is_subcomplex_everywhere(pipelines):
@@ -236,7 +245,7 @@ def test_euler_characteristic_matches_betti(pipelines):
             (data.ambient_complex, data.ambient_chain),
         ):
             betti = sum((-1) ** k * g.rank for k, g in enumerate(all_groups(cc)))
-            assert sc.euler_characteristic() == betti
+            assert euler_characteristic(sc) == betti
 
 
 def test_order_complex_matches_combination_enumerator_on_corpus(corpus):
@@ -310,26 +319,42 @@ def reference_relative_maps(ambient, sub):
 
 
 def reference_cochain(chain):
-    """The transposed maps, checked again in the cohomological direction."""
-    return checked_complex(COHOMOLOGICAL, chain.basis, tuple(m.transpose() for m in chain.maps))
+    """The dual with explicitly transposed maps, coboundaries target-by-source.
+
+    Each coboundary after the first composes to zero with the one before it,
+    checked here rather than by `checked_complex`, which takes the boundary layout.
+    """
+    maps = tuple(m.transpose() for m in chain.maps)
+    for first, second in zip(maps, maps[1:]):
+        assert second.mul(first).is_zero()
+    return ChainComplex(COHOMOLOGICAL, chain.basis, maps)
+
+
+def assert_cochain_shares_maps(cc):
+    """The cochain holds the chain's maps, and its groups are those of the explicit transposes."""
+    dual, reference = cochain(cc), reference_cochain(cc)
+    assert (dual.direction, dual.basis) == (reference.direction, reference.basis)
+    assert dual.maps is cc.maps
+    assert all_groups(dual) == all_groups(reference)
 
 
 def assert_canonical_construction(ambient_complex, sub_complex):
-    """Both builders give the reference matrices, and every cochain passes the d∘d check again."""
+    """Both builders give the reference matrices, and every cochain matches the transposed reference."""
     ambient, sub = chain_complex(ambient_complex), chain_complex(sub_complex)
     assert ambient == reference_chain_complex(ambient_complex)
     assert sub == reference_chain_complex(sub_complex)
     relative = relative_chain_complex(ambient, sub)
     assert relative.maps == tuple(reference_relative_maps(ambient, sub)[: len(relative.maps)])
     for cc in (ambient, sub, relative):
-        assert cochain(cc) == reference_cochain(cc)
+        assert_cochain_shares_maps(cc)
 
 
 def test_canonical_construction_matches_reference_on_fixtures():
     for space in FIXTURES.values():
         data = build_pipeline(space)
         assert_canonical_construction(data.ambient_complex, data.sub_complex)
-        assert data.poset_cochain == reference_cochain(data.poset_chain)
+        assert data.poset_cochain.maps is data.poset_chain.maps
+        assert data.relative_cochain.maps is data.relative_chain.maps
 
 
 def test_canonical_construction_matches_reference_on_corpus(pipelines):
