@@ -125,7 +125,9 @@ class ChainComplex:
     change under transposition, so of the group readers only
     `SmithTable.group` and `spliced_cohomology`, which tell a kernel from a
     cokernel, read the direction.  Built through `checked_complex`, its maps
-    compose to zero and its top degree is nonempty.
+    compose to zero and its top degree is nonempty.  `smith` assumes both the
+    boundary layout and maps that compose to zero: `SmithTable.of` deletes
+    the columns of maps[k] that the unit pivots of maps[k+1] make boundaries.
     """
 
     direction: str
@@ -180,20 +182,20 @@ def escape_names(names: Iterable[str]) -> list[str]:
     return [v.replace("\\", "\\\\").replace(",", "\\,") for v in names]
 
 
-def face_label(face: tuple[str, ...]) -> str:
-    """The vertices, escaped by `escape_names`, joined by commas, so labels are injective."""
-    return ",".join(escape_names(face))
-
-
 def chain_complex(complex_: SimplicialComplex) -> ChainComplex:
     """Simplicial chain complex over the integers.
 
-    Degree-k basis elements are the k-faces in lexicographic order; the
-    boundary of a face is the alternating sum over deleted vertices.  A
+    Degree-k basis elements are the k-faces in lexicographic order, each
+    labelled by its vertices, escaped by `escape_names`, joined by commas,
+    so labels are injective; each vertex name is escaped once per complex.
+    The boundary of a face is the alternating sum over deleted vertices.  A
     face lists its vertices in relation order, not label order, so the
     rows of its k+1 subfaces are sorted before the column is stored.
     """
-    basis = tuple(tuple(map(face_label, faces)) for faces in complex_.faces_by_dim)
+    escaped = dict(zip(complex_.vertices, escape_names(complex_.vertices)))
+    basis = tuple(
+        tuple([",".join([escaped[v] for v in face]) for face in faces]) for faces in complex_.faces_by_dim
+    )
     maps = []
     for k in range(1, len(complex_.faces_by_dim)):
         rows = {face: i for i, face in enumerate(complex_.faces_by_dim[k - 1])}

@@ -19,6 +19,14 @@ columns hold k+1 entries each, reduce almost entirely this way, short
 columns first, and the dense elimination runs only on the leftover
 block.  Unimodular transforms, when asked for, come from the dense
 elimination of the whole matrix, which also serves the tests as oracle.
+
+`SmithTable.of` reduces a complex's maps top-down and clears, the way
+persistent homology codes do (Chen and Kerber, "Persistent homology
+computation with a twist", EuroCG 2011; Bauer, Kerber and Reininghaus,
+"Clear and Compress", 2014), here over Z with the +-1 pivots.  A unit
+pivot of maps[k+1] in row p makes basis vector p of degree k+1 a
+boundary, so maps[k] sends it to zero: column p of maps[k] is deleted
+before maps[k] is reduced, and its Smith diagonal does not change.
 """
 
 from __future__ import annotations
@@ -84,8 +92,8 @@ class SmithNormalForm(NamedTuple):
     right: IntMatrix | None
 
 
-def _unit_pivots(matrix: IntMatrix) -> tuple[int, IntMatrix]:
-    """Eliminate +-1 pivots sparsely; return their number and the leftover block.
+def _unit_pivots(matrix: IntMatrix) -> tuple[set[int], IntMatrix]:
+    """Eliminate +-1 pivots sparsely; return their rows and the leftover block.
 
     A pivot at (p, j) clears the rest of row p by column operations, after
     which row operations clear column j without touching anything else, so
@@ -99,7 +107,7 @@ def _unit_pivots(matrix: IntMatrix) -> tuple[int, IntMatrix]:
     for j, column in columns.items():
         for i in column:
             in_row.setdefault(i, set()).add(j)
-    units = 0
+    pivots: set[int] = set()
     progress = True
     while progress:
         progress = False
@@ -127,11 +135,11 @@ def _unit_pivots(matrix: IntMatrix) -> tuple[int, IntMatrix]:
                         target[i] = y
                 if not target:
                     del columns[other]
-            units += 1
+            pivots.add(p)
             progress = True
     rows = {i: new for new, i in enumerate(sorted(i for i, js in in_row.items() if js))}
     block = [[(rows[i], x) for i, x in columns[j].items()] for j in sorted(columns)]
-    return units, IntMatrix.from_columns(len(rows), len(block), block)
+    return pivots, IntMatrix.from_columns(len(rows), len(block), block)
 
 
 def smith_normal_form(matrix: IntMatrix, want_transforms: bool = False) -> SmithNormalForm:
@@ -154,7 +162,7 @@ def smith_normal_form(matrix: IntMatrix, want_transforms: bool = False) -> Smith
     >>> smith_normal_form(IntMatrix.from_rows([[-1], [-1]])).diagonal
     (1,)
     """
-    units, block = (0, matrix) if want_transforms else _unit_pivots(matrix)
+    pivots, block = (set(), matrix) if want_transforms else _unit_pivots(matrix)
     n_rows, n_cols = block.rows, block.cols
     a = block.to_lists()
     u = IntMatrix.identity(n_rows).to_lists() if want_transforms else None
@@ -257,7 +265,7 @@ def smith_normal_form(matrix: IntMatrix, want_transforms: bool = False) -> Smith
             found = smallest_pivot(t)
         t += 1
 
-    diagonal = (1,) * units + tuple(a[i][i] for i in range(limit) if a[i][i])
+    diagonal = (1,) * len(pivots) + tuple(a[i][i] for i in range(limit) if a[i][i])
     left = right = None
     if want_transforms:
         left = IntMatrix.from_rows(u, cols=n_rows)
@@ -310,8 +318,38 @@ class SmithTable:
 
     @classmethod
     def of(cls, complex_: ChainComplex) -> SmithTable:
-        diagonals = tuple(smith_normal_form(m).diagonal for m in complex_.maps)
-        return cls(complex_.direction, tuple(len(labels) for labels in complex_.basis), diagonals)
+        """The table of a complex whose maps are boundaries that compose to zero.
+
+        The maps are reduced top-down with clearing (Chen and Kerber, EuroCG
+        2011; Bauer, Kerber and Reininghaus, "Clear and Compress", 2014).
+        Say the unit pass on maps[k+1] pivots at (p, j) with +-1.  After the
+        row operations that clear column j, basis vector p of degree k+1 is
+        the boundary of a chain, so maps[k] sends it to zero, while the other
+        basis vectors of degree k+1 stay as they were.  So maps[k] with the
+        columns of all of maps[k+1]'s pivot rows deleted has the same Smith
+        diagonal as maps[k], and the unit pass and the dense elimination run
+        on that narrower matrix.  The bottom map clears nothing below it and
+        goes to `smith_normal_form` as it is.
+
+        The Z/2 projective plane (two vertices, three edges, two faces):
+
+        >>> from finsplice.complexes import HOMOLOGICAL
+        >>> d1 = IntMatrix.from_rows([[-1, 1, 0], [1, -1, 0]])
+        >>> d2 = IntMatrix.from_rows([[1, 1], [1, 1], [1, -1]])
+        >>> rp2 = ChainComplex(HOMOLOGICAL, (("v", "w"), ("a", "b", "c"), ("U", "L")), (d1, d2))
+        >>> SmithTable.of(rp2).diagonals
+        ((1,), (1, 2))
+        """
+        diagonals = []
+        cleared: set[int] = set()
+        for k in reversed(range(len(complex_.maps))):
+            m = complex_.maps[k]
+            if cleared:
+                kept = tuple(column for j, column in enumerate(m.columns) if j not in cleared)
+                m = IntMatrix._canonical(m.rows, len(kept), kept)
+            cleared, m = _unit_pivots(m) if k else (set(), m)
+            diagonals.append((1,) * len(cleared) + smith_normal_form(m).diagonal)
+        return cls(complex_.direction, tuple(len(labels) for labels in complex_.basis), tuple(reversed(diagonals)))
 
     def group(self, k: int, outgoing: bool = True, incoming: bool = True) -> GroupPresentation:
         """Kernel of the outgoing map modulo the image of the incoming one at degree k.

@@ -15,8 +15,9 @@ zeros.  `_canonical` does none of that: it wraps a tuple of column tuples
 as given, and its caller guarantees the precondition that every column is
 sorted by row, every row is in range, and no value is zero.  It serves the
 builders that produce columns in that form already: `from_columns`,
-`zeros`, `identity`, `transpose` and `mul` here, and `chain_complex` and
-`relative_chain_complex` in `complexes`.
+`zeros`, `identity`, `transpose` and `mul` here, `chain_complex` and
+`relative_chain_complex` in `complexes`, and `SmithTable.of` in
+`homology`, which keeps a subset of a matrix's columns.
 """
 
 from __future__ import annotations

@@ -2,17 +2,18 @@
 
 Each computes from first principles something the program derives on its
 own route (the relation as pairs, closures, subcomplex inclusion, Euler
-characteristics, the large-length limits of a splice), so the tests can
-set the two against each other.
+characteristics, face labels, per-map dense Smith diagonals, the
+large-length limits of a splice), so the tests can set the two against
+each other.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from finsplice import ChainComplex, FiniteSpace, Preorder, SimplicialComplex, all_groups
+from finsplice import ChainComplex, FiniteSpace, Preorder, SimplicialComplex, all_groups, smith_normal_form
 from finsplice import splice, splice_negative, spliced_cohomology
-from finsplice.complexes import COHOMOLOGICAL
+from finsplice.complexes import COHOMOLOGICAL, escape_names
 
 
 def relation_pairs(preorder: Preorder) -> frozenset:
@@ -52,6 +53,16 @@ def is_subcomplex(candidate: SimplicialComplex, ambient: SimplicialComplex) -> b
         if any(face not in ambient_faces for face in faces):
             return False
     return True
+
+
+def face_label(face: tuple[str, ...]) -> str:
+    """The vertices, escaped by `escape_names`, joined by commas, so labels are injective."""
+    return ",".join(escape_names(face))
+
+
+def dense_diagonals(complex_: ChainComplex) -> tuple[tuple[int, ...], ...]:
+    """The whole-matrix dense Smith diagonal of each map on its own, in any layout."""
+    return tuple(smith_normal_form(m, want_transforms=True).diagonal for m in complex_.maps)
 
 
 def euler_characteristic(complex_: SimplicialComplex) -> int:

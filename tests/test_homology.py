@@ -22,7 +22,11 @@ from finsplice import (
     smith_normal_form,
     specialisation_preorder,
 )
+from finsplice import homology
+from finsplice.homology import SmithTable
+from oracles import dense_diagonals
 from test_spaces import blown_up_fixtures
+from test_splice import kernel_cokernel_cochains
 
 
 def minors_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
@@ -168,12 +172,91 @@ def test_snf_without_transforms_on_layered_pipeline():
     assert data.decomposition.complementary == ("b0'",)
     checked = 0
     for cc in (data.poset_chain, data.ambient_chain, data.relative_chain, data.relative_cochain):
-        for m in cc.maps:
+        dense = dense_diagonals(cc)
+        assert cc.smith.diagonals == dense
+        for m, expected in zip(cc.maps, dense):
             diagonal = smith_normal_form(m).diagonal
-            assert diagonal == smith_normal_form(m, want_transforms=True).diagonal
+            assert diagonal == expected
             assert len(diagonal) == rational_rank(m)
             checked += 1
     assert checked == 12
+
+
+def test_smith_table_reduces_each_map_without_the_pivot_rows_of_the_map_above(monkeypatch):
+    # Pins clearing without timing it: below the top, maps[k] reaches the unit
+    # pass with exactly dim(k+1) minus the unit pivots of maps[k+1] columns.
+    received = []
+    unit_pivots = homology._unit_pivots
+
+    def recording(matrix):
+        pivots, block = unit_pivots(matrix)
+        received.append((matrix, pivots))
+        return pivots, block
+
+    monkeypatch.setattr(homology, "_unit_pivots", recording)
+    data = build_pipeline(_layered_with_twin())
+    cleared_columns = 0
+    for cc in (data.poset_chain, data.ambient_chain, data.relative_chain):
+        received.clear()
+        assert SmithTable.of(cc).diagonals == dense_diagonals(cc)
+        inputs = [m for m, _ in received]
+        pivots = received[inputs.index(cc.maps[-1])][1]
+        for k in reversed(range(len(cc.maps) - 1)):
+            kept = [column for j, column in enumerate(cc.maps[k].columns) if j not in pivots]
+            expected = IntMatrix.from_columns(cc.dim(k), len(kept), kept)
+            assert expected.cols == cc.dim(k + 1) - len(pivots)
+            assert expected in inputs, k
+            cleared_columns += len(pivots)
+            pivots = received[inputs.index(expected)][1]
+    assert cleared_columns > 0
+
+
+def _rebased(complex_, steps):
+    """The complex in new bases: maps[k] becomes U_k^-1 maps[k] U_(k+1).
+
+    Each U_k is a product of elementary matrices, built with its inverse:
+    a step (i, j, q) adds q times column i of U_k to column j and subtracts
+    q times row j of the inverse from row i, or negates column i and row i
+    when i == j.
+    """
+    bases, inverses = [], []
+    for labels, degree_steps in zip(complex_.basis, steps):
+        n = len(labels)
+        u, u_inv = IntMatrix.identity(n).to_lists(), IntMatrix.identity(n).to_lists()
+        for i, j, q in degree_steps:
+            i, j = i % n, j % n
+            if i == j:
+                for row in u:
+                    row[i] = -row[i]
+                u_inv[i] = [-x for x in u_inv[i]]
+            else:
+                for row in u:
+                    row[j] += q * row[i]
+                u_inv[i] = [x - q * y for x, y in zip(u_inv[i], u_inv[j])]
+        bases.append(IntMatrix.from_rows(u, cols=n))
+        inverses.append(IntMatrix.from_rows(u_inv, cols=n))
+        assert bases[-1].mul(inverses[-1]) == IntMatrix.identity(n)
+    maps = tuple(inverses[k].mul(m).mul(bases[k + 1]) for k, m in enumerate(complex_.maps))
+    return ChainComplex(complex_.direction, complex_.basis, maps)
+
+
+basis_steps = st.lists(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)), max_size=8),
+    min_size=4,
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["projective plane", "kernel and cokernel"]), basis_steps)
+def test_smith_table_matches_dense_diagonals_after_unimodular_rebasing(name, steps):
+    # Re-basing keeps d∘d = 0 and every Smith diagonal, but turns the unit
+    # pivots that clearing relies on into dense leftovers and torsion.
+    complex_ = {"projective plane": _projective_plane_chains, "kernel and cokernel": kernel_cokernel_cochains}[name]()
+    rebased = _rebased(complex_, steps)
+    for first, second in zip(rebased.maps, rebased.maps[1:]):
+        assert first.mul(second).is_zero()
+    assert SmithTable.of(rebased).diagonals == dense_diagonals(rebased) == dense_diagonals(complex_)
 
 
 def test_group_presentation_validation():

@@ -116,12 +116,19 @@ def test_claimed_groups_beyond_top_degree_are_trivial(dup_sources):
     assert claimed[17] == TRIVIAL
 
 
-def test_claimed_groups_are_kernels_and_cokernels_where_stated():
-    # Ranks 1, 1, 2, 1 with d1 = (2, 0) and d2 = (0 1): at degree 2 the group is
-    # Z/2 but the cokernel Z + Z/2; at degree 3 the group is 0 but the kernel Z.
-    # The maps are held as boundaries, so each coboundary is stored transposed.
+def kernel_cokernel_cochains():
+    """Ranks 1, 1, 2, 1 with coboundaries d1 = (2, 0) and d2 = (0 1).
+
+    The maps are held as boundaries, so each coboundary is stored transposed.
+    """
     maps = (IntMatrix.zeros(1, 1), IntMatrix.from_rows([[2, 0]]), IntMatrix.from_rows([[0], [1]]))
-    cc = ChainComplex("cohomological", (("a",), ("b",), ("c", "d"), ("e",)), maps)
+    return ChainComplex("cohomological", (("a",), ("b",), ("c", "d"), ("e",)), maps)
+
+
+def test_claimed_groups_are_kernels_and_cokernels_where_stated():
+    # At degree 2 the group is Z/2 but the cokernel Z + Z/2; at degree 3 the
+    # group is 0 but the kernel Z.
+    cc = kernel_cokernel_cochains()
     claimed = theorem_claimed_groups(cc, cc, p_max=1)
     z_plus_z2 = GroupPresentation(1, (2,))
     assert [claimed[k] for k in range(12)] == [
