@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .complexes import cochain, escape_names
+from .complexes import cochain
 from .fixtures import FIXTURES, random_space
 from .homology import GroupPresentation, all_groups
 from .io import (
@@ -104,6 +104,11 @@ def _resolve_space(args, parser: _Parser) -> FiniteSpace:
             parser.error("--random needs at least one point")
         return random_space(args.random, seed=args.seed)
     return load_space(args.input)
+
+
+def escape_names(names: Iterable[str]) -> list[str]:
+    """Each name with a `\\` before every `\\` and `,`, so the `decompose` table's name lists read back uniquely."""
+    return [v.replace("\\", "\\\\").replace(",", "\\,") for v in names]
 
 
 def _group_row(degree: int, group: GroupPresentation) -> str:

@@ -3,10 +3,13 @@
 The order complex of a poset has the chains (totally ordered subsets) as
 faces.  Faces are stored in relation-ascending vertex order, so the
 boundary of [v0 < ... < vk] is the usual alternating sum over deleted
-vertices.  Chain complexes carry column-sparse integer matrices, one
+vertices.  A chain complex built from an order complex takes its faces,
+vertex-name tuples, as the basis: basis[k] is the order complex's tuple
+of k-faces itself, and distinct faces are distinct tuples, so no names
+are joined.  Chain complexes carry column-sparse integer matrices, one
 layout for both directions: maps[i] is the boundary from degree i+1 to
 degree i, one column per face of degree i+1.  The relative complex keeps
-the columns of the faces outside the subcomplex with their subcomplex
+the faces outside the subcomplex and their columns, with the subcomplex
 entries dropped.  Both builders write each column already canonical
 (sorted rows, no zeros), so no matrix is re-summed.
 
@@ -124,14 +127,16 @@ class ChainComplex:
     its coboundary from degree i to i+1.  Ranks and Smith diagonals do not
     change under transposition, so of the group readers only
     `SmithTable.group` and `spliced_cohomology`, which tell a kernel from a
-    cokernel, read the direction.  Built through `checked_complex`, its maps
-    compose to zero and its top degree is nonempty.  `smith` assumes both the
-    boundary layout and maps that compose to zero: `SmithTable.of` deletes
-    the columns of maps[k] that the unit pivots of maps[k+1] make boundaries.
+    cokernel, read the direction.  basis[k] lists the degree-k basis
+    elements, faces for the complexes made here.  Built through
+    `checked_complex`, its maps compose to zero and its top degree is
+    nonempty.  `smith` assumes both the boundary layout and maps that
+    compose to zero: `SmithTable.of` deletes the columns of maps[k] that the
+    unit pivots of maps[k+1] make boundaries.
     """
 
     direction: str
-    basis: tuple[tuple[str, ...], ...]
+    basis: tuple[tuple[tuple[str, ...], ...], ...]
     maps: tuple[IntMatrix, ...]
 
     @property
@@ -157,7 +162,9 @@ class ChainComplex:
         return SmithTable.of(self)
 
 
-def checked_complex(direction: str, basis: Sequence[tuple[str, ...]], maps: Sequence[IntMatrix]) -> ChainComplex:
+def checked_complex(
+    direction: str, basis: Sequence[Sequence[tuple[str, ...]]], maps: Sequence[IntMatrix]
+) -> ChainComplex:
     """The complex, trailing empty degrees dropped, once its maps compose to zero.
 
     The maps are in the one layout of `ChainComplex` whatever the direction,
@@ -167,8 +174,8 @@ def checked_complex(direction: str, basis: Sequence[tuple[str, ...]], maps: Sequ
     gives the zero complex.
     """
     top = -1
-    for k, labels in enumerate(basis):
-        if labels:
+    for k, faces in enumerate(basis):
+        if faces:
             top = k
     basis, maps = tuple(basis[: top + 1]), tuple(maps[: max(top, 0)])
     for i in range(len(maps) - 1):
@@ -177,25 +184,15 @@ def checked_complex(direction: str, basis: Sequence[tuple[str, ...]], maps: Sequ
     return ChainComplex(direction, basis, maps)
 
 
-def escape_names(names: Iterable[str]) -> list[str]:
-    """Each name with a `\\` before every `\\` and `,`, so names joined by commas read back uniquely."""
-    return [v.replace("\\", "\\\\").replace(",", "\\,") for v in names]
-
-
 def chain_complex(complex_: SimplicialComplex) -> ChainComplex:
     """Simplicial chain complex over the integers.
 
-    Degree-k basis elements are the k-faces in lexicographic order, each
-    labelled by its vertices, escaped by `escape_names`, joined by commas,
-    so labels are injective; each vertex name is escaped once per complex.
-    The boundary of a face is the alternating sum over deleted vertices.  A
-    face lists its vertices in relation order, not label order, so the
-    rows of its k+1 subfaces are sorted before the column is stored.
+    Degree-k basis elements are the k-faces, in the complex's sorted order:
+    the basis is `complex_.faces_by_dim` itself.  The boundary of a face is
+    the alternating sum over deleted vertices.  A face lists its vertices
+    in relation order, not name order, so the rows of its k+1 subfaces are
+    sorted before the column is stored.
     """
-    escaped = dict(zip(complex_.vertices, escape_names(complex_.vertices)))
-    basis = tuple(
-        tuple([",".join([escaped[v] for v in face]) for face in faces]) for faces in complex_.faces_by_dim
-    )
     maps = []
     for k in range(1, len(complex_.faces_by_dim)):
         rows = {face: i for i, face in enumerate(complex_.faces_by_dim[k - 1])}
@@ -204,37 +201,36 @@ def chain_complex(complex_: SimplicialComplex) -> ChainComplex:
             tuple(sorted(zip([rows[face[:i] + face[i + 1:]] for i in range(k + 1)], signs)))
             for face in complex_.faces_by_dim[k]
         ])
-        maps.append(IntMatrix._canonical(len(rows), len(columns), columns))
-    return checked_complex(HOMOLOGICAL, basis, maps)
+        maps.append(IntMatrix(len(rows), len(columns), columns))
+    return checked_complex(HOMOLOGICAL, complex_.faces_by_dim, maps)
 
 
 def relative_chain_complex(ambient: ChainComplex, sub: ChainComplex) -> ChainComplex:
     """Quotient of the ambient chain complex by a subcomplex.
 
-    Degree-k basis elements are the ambient labels not in the subcomplex;
+    Degree-k basis elements are the ambient faces not in the subcomplex;
     differentials are the ambient ones with the subcomplex coordinates
     deleted.  The kept rows are renumbered in ascending order, so each
-    filtered column stays sorted and free of zeros.
+    filtered column stays sorted and free of zeros.  The subcomplex is
+    contained in the ambient complex when, in each degree, as many ambient
+    faces lie in it as it has faces.
     """
     if ambient.direction != HOMOLOGICAL or sub.direction != HOMOLOGICAL:
         raise ValueError("relative complexes are built from homological complexes")
     keep: list[list[int]] = []
-    for k in range(len(ambient.basis)):
-        ambient_labels = ambient.basis[k]
-        sub_labels = set(sub.basis[k]) if k < len(sub.basis) else set()
-        if not sub_labels <= set(ambient_labels):
+    for k, ambient_faces in enumerate(ambient.basis):
+        sub_faces = set(sub.basis[k]) if k < len(sub.basis) else set()
+        keep.append([i for i, face in enumerate(ambient_faces) if face not in sub_faces])
+        if len(ambient_faces) - len(keep[k]) != len(sub_faces):
             raise NotASubcomplex(f"degree {k} basis of the subcomplex is not contained in the ambient basis")
-        keep.append([i for i, lab in enumerate(ambient_labels) if lab not in sub_labels])
     if len(sub.basis) > len(ambient.basis) and any(len(b) for b in sub.basis[len(ambient.basis):]):
         raise NotASubcomplex("subcomplex has degrees beyond the ambient complex")
-    basis = tuple(
-        tuple(ambient.basis[k][i] for i in keep[k]) for k in range(len(ambient.basis))
-    )
+    basis = tuple(tuple(faces[i] for i in kept) for faces, kept in zip(ambient.basis, keep))
     maps = []
     for k, m in enumerate(ambient.maps):
         rows = {i: new for new, i in enumerate(keep[k])}
         columns = tuple([tuple([(rows[i], x) for i, x in m.columns[j] if i in rows]) for j in keep[k + 1]])
-        maps.append(IntMatrix._canonical(len(rows), len(columns), columns))
+        maps.append(IntMatrix(len(rows), len(columns), columns))
     return checked_complex(HOMOLOGICAL, basis, maps)
 
 

@@ -11,14 +11,14 @@ transposed.  A matrix and its transpose have the same Smith diagonal, so
 a cochain's table is computed on the boundary matrices; the direction
 only tells `SmithTable.group` which map leaves a degree and which enters.
 
-The Smith normal form first eliminates +-1 pivots on the column-sparse
-matrix, as in Dumas, Saunders and Villard, "On efficient sparse integer
-matrix Smith normal form computations" (J. Symb. Comput. 32, 2001); each
-adds a 1 to the diagonal.  Boundary maps of order complexes, whose
-columns hold k+1 entries each, reduce almost entirely this way, short
-columns first, and the dense elimination runs only on the leftover
-block.  Unimodular transforms, when asked for, come from the dense
-elimination of the whole matrix, which also serves the tests as oracle.
+`SmithTable.of` first eliminates +-1 pivots on the column-sparse matrix,
+as in Dumas, Saunders and Villard, "On efficient sparse integer matrix
+Smith normal form computations" (J. Symb. Comput. 32, 2001); each adds a
+1 to the diagonal.  Boundary maps of order complexes, whose columns hold
+k+1 entries each, reduce almost entirely this way, short columns first,
+and `smith_normal_form`, a dense elimination, runs only on the leftover
+block.  Given a whole matrix and asked for unimodular transforms, it
+serves the tests as oracle.
 
 `SmithTable.of` reduces a complex's maps top-down and clears, the way
 persistent homology codes do (Chen and Kerber, "Persistent homology
@@ -43,6 +43,9 @@ from .matrices import IntMatrix
 class GroupPresentation:
     """rank copies of Z plus cyclic factors in divisibility order.
 
+    A plain record: `SmithTable.group` builds it from a Smith diagonal,
+    whose factors above 1 are already in divisibility order.
+
     >>> str(GroupPresentation(2, (2, 6)))
     'Z^2 + Z/2 + Z/6'
     >>> str(GroupPresentation(1))
@@ -53,22 +56,6 @@ class GroupPresentation:
 
     rank: int = 0
     torsion: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("rank must be nonnegative")
-        torsion = tuple(int(t) for t in self.torsion)
-        for t in torsion:
-            if t <= 1:
-                raise ValueError(f"torsion coefficient {t} must exceed 1")
-        for a, b in zip(torsion, torsion[1:]):
-            if b % a:
-                raise ValueError(f"torsion {torsion} is not in divisibility order")
-        object.__setattr__(self, "torsion", torsion)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
 
     def __str__(self) -> str:
         parts = []
@@ -149,11 +136,10 @@ def smith_normal_form(matrix: IntMatrix, want_transforms: bool = False) -> Smith
     number is the rank.  With want_transforms, unimodular matrices U and V
     are returned with U * matrix * V equal to the diagonal form exactly.
 
-    Without transforms, +-1 pivots are first eliminated sparsely (see
-    `_unit_pivots`) and the dense elimination below runs on the leftover
-    block only; with them it runs on the whole matrix.  Dense pivots are
-    chosen by smallest nonzero absolute value, ties broken by row then
-    column index.  All arithmetic is exact.
+    The elimination is dense; `SmithTable.of` hands it only the block its
+    sparse unit pass leaves.  Pivots are chosen by smallest nonzero
+    absolute value, ties broken by row then column index.  All arithmetic
+    is exact.
 
     >>> smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).diagonal
     (1, 6)
@@ -162,9 +148,8 @@ def smith_normal_form(matrix: IntMatrix, want_transforms: bool = False) -> Smith
     >>> smith_normal_form(IntMatrix.from_rows([[-1], [-1]])).diagonal
     (1,)
     """
-    pivots, block = (set(), matrix) if want_transforms else _unit_pivots(matrix)
-    n_rows, n_cols = block.rows, block.cols
-    a = block.to_lists()
+    n_rows, n_cols = matrix.rows, matrix.cols
+    a = matrix.to_lists()
     u = IntMatrix.identity(n_rows).to_lists() if want_transforms else None
     v = IntMatrix.identity(n_cols).to_lists() if want_transforms else None
 
@@ -265,7 +250,7 @@ def smith_normal_form(matrix: IntMatrix, want_transforms: bool = False) -> Smith
             found = smallest_pivot(t)
         t += 1
 
-    diagonal = (1,) * len(pivots) + tuple(a[i][i] for i in range(limit) if a[i][i])
+    diagonal = tuple(a[i][i] for i in range(limit) if a[i][i])
     left = right = None
     if want_transforms:
         left = IntMatrix.from_rows(u, cols=n_rows)
@@ -328,15 +313,15 @@ class SmithTable:
         basis vectors of degree k+1 stay as they were.  So maps[k] with the
         columns of all of maps[k+1]'s pivot rows deleted has the same Smith
         diagonal as maps[k], and the unit pass and the dense elimination run
-        on that narrower matrix.  The bottom map clears nothing below it and
-        goes to `smith_normal_form` as it is.
+        on that narrower matrix.  Every map, the bottom one included, goes
+        through the unit pass, and `smith_normal_form` reduces what is left.
 
         The Z/2 projective plane (two vertices, three edges, two faces):
 
         >>> from finsplice.complexes import HOMOLOGICAL
         >>> d1 = IntMatrix.from_rows([[-1, 1, 0], [1, -1, 0]])
         >>> d2 = IntMatrix.from_rows([[1, 1], [1, 1], [1, -1]])
-        >>> rp2 = ChainComplex(HOMOLOGICAL, (("v", "w"), ("a", "b", "c"), ("U", "L")), (d1, d2))
+        >>> rp2 = ChainComplex(HOMOLOGICAL, ((("v",), ("w",)), (("a",), ("b",), ("c",)), (("U",), ("L",))), (d1, d2))
         >>> SmithTable.of(rp2).diagonals
         ((1,), (1, 2))
         """
@@ -346,10 +331,10 @@ class SmithTable:
             m = complex_.maps[k]
             if cleared:
                 kept = tuple(column for j, column in enumerate(m.columns) if j not in cleared)
-                m = IntMatrix._canonical(m.rows, len(kept), kept)
-            cleared, m = _unit_pivots(m) if k else (set(), m)
+                m = IntMatrix(m.rows, len(kept), kept)
+            cleared, m = _unit_pivots(m)
             diagonals.append((1,) * len(cleared) + smith_normal_form(m).diagonal)
-        return cls(complex_.direction, tuple(len(labels) for labels in complex_.basis), tuple(reversed(diagonals)))
+        return cls(complex_.direction, tuple(len(faces) for faces in complex_.basis), tuple(reversed(diagonals)))
 
     def group(self, k: int, outgoing: bool = True, incoming: bool = True) -> GroupPresentation:
         """Kernel of the outgoing map modulo the image of the incoming one at degree k.

@@ -1,10 +1,11 @@
-"""Versioned JSON forms for spaces and complexes.
+"""Versioned JSON forms for spaces, and the report writer.
 
 Space files carry `points` plus exactly one of `opens`, `min_opens`, or
 `leq`.  The optional `format` field pins the schema version.  Relation
 input is completed to a preorder by reflexive-transitive closure; only
 `opens` input and the written form list the opens.  Space files are the
-one outside input, so they are checked here; complexes are only written.
+one outside input, so they are checked here.  Reports are written by
+`dumps`.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ import json
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .complexes import COHOMOLOGICAL, ChainComplex
 from .spaces import FiniteSpace, from_min_opens, from_preorder, preorder_from_relation, validate_topology
 
 SPACE_FORMAT = "finsplice-space/1"
-COMPLEX_FORMAT = "finsplice-complex/1"
 REPORT_FORMAT = "finsplice-report/1"
 
 
@@ -98,24 +97,6 @@ def load_space(path: str | Path) -> FiniteSpace:
 
 def dump_space(space: FiniteSpace, path: str | Path) -> None:
     Path(path).write_text(dumps(space_to_dict(space)), encoding="utf-8")
-
-
-def complex_to_dict(complex_: ChainComplex) -> dict:
-    """The `finsplice-complex/1` form, each map written target-by-source.
-
-    A cochain holds its chain's boundary maps and reads them transposed
-    (see `complexes`), so its coboundaries are transposed here: the one
-    transpose in the program.
-    """
-    maps = complex_.maps
-    if complex_.direction == COHOMOLOGICAL:
-        maps = tuple(m.transpose() for m in maps)
-    return {
-        "format": COMPLEX_FORMAT,
-        "direction": complex_.direction,
-        "basis": [list(labels) for labels in complex_.basis],
-        "maps": [{"rows": m.rows, "cols": m.cols, "entries": m.to_lists()} for m in maps],
-    }
 
 
 def dumps(payload: dict) -> str:

@@ -7,17 +7,14 @@ so products and transposes cost what the nonzeros cost, not rows x cols.
 Shapes are explicit even when a dimension is zero, which matters for the
 empty boundary maps at the ends of a chain complex.
 
-The constructor, `from_rows`, `entries` and `to_lists` are the only dense
-views; they serve the I/O edge and the test oracles.
-
-`from_columns` accepts pairs in any order, adds up repeated rows and drops
-zeros.  `_canonical` does none of that: it wraps a tuple of column tuples
-as given, and its caller guarantees the precondition that every column is
-sorted by row, every row is in range, and no value is zero.  It serves the
-builders that produce columns in that form already: `from_columns`,
-`zeros`, `identity`, `transpose` and `mul` here, `chain_complex` and
-`relative_chain_complex` in `complexes`, and `SmithTable.of` in
-`homology`, which keeps a subset of a matrix's columns.
+The constructor takes the stored form as it is: `IntMatrix(rows, cols,
+columns)` checks nothing, and its caller guarantees that every column is
+a tuple of (row, value) pairs sorted by row, every row is in range, and
+no value is zero.  The methods here and the complex and Smith table code
+in `complexes` and `homology` produce columns in that form already.  `from_columns` accepts pairs in
+any order, adds up repeated rows and drops zeros; `from_rows` takes dense
+rows.  `from_rows`, `entries` and `to_lists` are the only dense views;
+they serve the I/O edge and the test oracles.
 """
 
 from __future__ import annotations
@@ -26,34 +23,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class IntMatrix:
     rows: int
     cols: int
     columns: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __init__(self, rows: int, cols: int, entries: Iterable[Iterable[int]]):
-        """Dense constructor: `entries` lists the rows."""
-        dense = tuple(tuple(int(x) for x in row) for row in entries)
-        if len(dense) != rows:
-            raise ValueError(f"expected {rows} rows, got {len(dense)}")
-        for row in dense:
-            if len(row) != cols:
-                raise ValueError(f"expected {cols} columns, got {len(row)}")
-        columns = tuple(tuple((i, row[j]) for i, row in enumerate(dense) if row[j]) for j in range(cols))
-        self._set(rows, cols, columns)
-
-    def _set(self, rows: int, cols: int, columns: tuple) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "columns", columns)
-
-    @classmethod
-    def _canonical(cls, rows: int, cols: int, columns: tuple) -> "IntMatrix":
-        """Wrap columns that are already sorted, in range and free of zeros."""
-        matrix = cls.__new__(cls)
-        matrix._set(rows, cols, columns)
-        return matrix
 
     @classmethod
     def from_columns(cls, rows: int, cols: int, columns: Iterable[Iterable[tuple[int, int]]]) -> "IntMatrix":
@@ -72,26 +46,26 @@ class IntMatrix:
             data.append(tuple(sorted((i, x) for i, x in total.items() if x)))
         if len(data) != cols:
             raise ValueError(f"expected {cols} columns, got {len(data)}")
-        return cls._canonical(rows, cols, tuple(data))
+        return cls(rows, cols, tuple(data))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
-        if data:
-            width = len(data[0])
-        elif cols is None:
-            width = 0
-        else:
-            width = cols
-        return cls(len(data), width, data)
+        """Dense constructor: `rows` lists the rows; `cols` gives the width when there are none."""
+        dense = tuple(tuple(int(x) for x in row) for row in rows)
+        width = len(dense[0]) if dense else cols or 0
+        for row in dense:
+            if len(row) != width:
+                raise ValueError(f"expected {width} columns, got {len(row)}")
+        columns = tuple(tuple((i, row[j]) for i, row in enumerate(dense) if row[j]) for j in range(width))
+        return cls(len(dense), width, columns)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls._canonical(rows, cols, ((),) * cols)
+        return cls(rows, cols, ((),) * cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._canonical(n, n, tuple(((j, 1),) for j in range(n)))
+        return cls(n, n, tuple(((j, 1),) for j in range(n)))
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -103,7 +77,7 @@ class IntMatrix:
         for j, column in enumerate(self.columns):
             for i, x in column:
                 rows[i].append((j, x))
-        return IntMatrix._canonical(self.cols, self.rows, tuple(map(tuple, rows)))
+        return IntMatrix(self.cols, self.rows, tuple(map(tuple, rows)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -116,7 +90,7 @@ class IntMatrix:
                 for i, x in left[k]:
                     total[i] = total.get(i, 0) + x * y
             product.append(tuple(sorted((i, x) for i, x in total.items() if x)))
-        return IntMatrix._canonical(self.rows, other.cols, tuple(product))
+        return IntMatrix(self.rows, other.cols, tuple(product))
 
     def is_zero(self) -> bool:
         return not any(self.columns)

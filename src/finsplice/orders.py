@@ -35,7 +35,7 @@ def strictify(preorder: Preorder) -> Preorder:
     its own bit.
     """
     rows = (u & ~d | 1 << i for i, (u, d) in enumerate(zip(preorder.up, preorder.down)))
-    return Preorder.from_rows(preorder.points, rows)
+    return Preorder(preorder.points, rows)
 
 
 def equivalence_classes(preorder: Preorder) -> tuple[tuple[str, ...], ...]:

@@ -106,7 +106,7 @@ class FiniteSpace:
     sets, are listed on first read of `opens`.  The Sierpinski space:
 
     >>> from finsplice import Preorder, from_preorder
-    >>> sierp = from_preorder(Preorder(("a", "b"), [("a", "a"), ("a", "b"), ("b", "b")]))
+    >>> sierp = from_preorder(Preorder(("a", "b"), (0b11, 0b10)))
     >>> sierp.points
     ('a', 'b')
     >>> sierp.opens
@@ -145,11 +145,12 @@ class Preorder:
 
     Bit j of up[i] is set when points[i] <= points[j], so up[i] is the
     minimal open of points[i]; down is the transpose (bit j of down[i] when
-    points[j] <= points[i]).  `Preorder(points, pairs)` builds the rows from
-    (x, y) pairs meaning x <= y; `from_rows` takes the rows directly.  Both
-    validate: every bit i of up[i] is set, and up[j] lies inside up[i] for
-    every j in up[i].  Violations are named in sorted order, so the message
-    does not depend on the iteration order of the input.
+    points[j] <= points[i]).  `Preorder(points, up)` takes the points in
+    sorted order and the up rows, and validates them: every bit i of up[i]
+    is set, and up[j] lies inside up[i] for every j in up[i].  The first
+    violation in point order is named.  Points with equal rows (an
+    indistinguishability class) share one transitivity check and one pass
+    over the row's bits.
 
     The Sierpinski space, with opens {}, {b} and {a, b}, has a <= b:
 
@@ -165,38 +166,10 @@ class Preorder:
     up: tuple[int, ...]
     down: tuple[int, ...] = field(compare=False, repr=False)
 
-    def __init__(self, points: Iterable[str], pairs: Iterable[tuple[str, str]]):
-        pts = _sorted_points(points)
-        index = {p: i for i, p in enumerate(pts)}
-        up = [0] * len(pts)
-        unknown = []
-        for x, y in pairs:
-            x, y = str(x), str(y)
-            if x in index and y in index:
-                up[index[x]] |= 1 << index[y]
-            else:
-                unknown.append((x, y))
-        if unknown:
-            x, y = min(unknown)
-            raise UnknownPoint(x if x not in index else y)
-        self._set_rows(pts, tuple(up))
-
-    @classmethod
-    def from_rows(cls, points: Iterable[str], up: Iterable[int]) -> Preorder:
-        """The preorder with the given up-set rows over the given sorted points."""
-        pts = tuple(points)
+    def __init__(self, points: Iterable[str], up: Iterable[int]):
+        pts, up = tuple(points), tuple(up)
         if pts != _sorted_points(pts):
             raise InvalidPreorder("rows need the points in sorted order")
-        preorder = cls.__new__(cls)
-        preorder._set_rows(pts, tuple(up))
-        return preorder
-
-    def _set_rows(self, pts: tuple[str, ...], up: tuple[int, ...]) -> None:
-        """Validate the rows and store them with their transpose.
-
-        Points with equal rows (an indistinguishability class) share one
-        transitivity check and one pass over the row's bits.
-        """
         n = len(pts)
         if len(up) != n:
             raise InvalidPreorder(f"expected {n} rows, got {len(up)}")
@@ -297,7 +270,7 @@ def validate_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> 
         for ma, mb in itertools.combinations(ordered, 2):
             if ma & mb not in masks:
                 raise NotClosedUnderIntersection(unmask(ma), unmask(mb))
-    return FiniteSpace(Preorder.from_rows(pts, minimal))
+    return FiniteSpace(Preorder(pts, minimal))
 
 
 def specialisation_preorder(space: FiniteSpace) -> Preorder:
@@ -342,7 +315,7 @@ def from_min_opens(points: Iterable[str], min_opens: Mapping[str, Iterable[str]]
         if not m >> index[p] & 1:
             raise TopologyError(f"minimal open of {p!r} does not contain it")
         generators.append(m)
-    return from_preorder(Preorder.from_rows(pts, _minimal_opens(generators, len(pts))))
+    return from_preorder(Preorder(pts, _minimal_opens(generators, len(pts))))
 
 
 def preorder_from_relation(points: Iterable[str], pairs: Iterable[tuple[str, str]]) -> Preorder:
@@ -366,4 +339,4 @@ def preorder_from_relation(points: Iterable[str], pairs: Iterable[tuple[str, str
         for i, row in enumerate(reach):
             if row & bit:
                 reach[i] = row | row_k
-    return Preorder.from_rows(pts, reach)
+    return Preorder(pts, reach)

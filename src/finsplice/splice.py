@@ -55,7 +55,7 @@ class SplicedComplex:
         if len(self.sources) == 1:
             return self.sources[0]
         n = abs(self.length)
-        basis: list[tuple[str, ...]] = []
+        basis: list[tuple[tuple[str, ...], ...]] = []
         maps: list[IntMatrix] = []
         for block in self.blocks:
             source = self.sources[block.source]

@@ -2,9 +2,9 @@
 
 Each computes from first principles something the program derives on its
 own route (the relation as pairs, closures, subcomplex inclusion, Euler
-characteristics, face labels, per-map dense Smith diagonals, the
-large-length limits of a splice), so the tests can set the two against
-each other.
+characteristics, face labels and the `finsplice-complex/1` form,
+per-map dense Smith diagonals, the large-length limits of a splice), so
+the tests can set the two against each other.
 """
 
 from __future__ import annotations
@@ -13,7 +13,10 @@ from typing import Iterable, Sequence
 
 from finsplice import ChainComplex, FiniteSpace, Preorder, SimplicialComplex, all_groups, smith_normal_form
 from finsplice import splice, splice_negative, spliced_cohomology
-from finsplice.complexes import COHOMOLOGICAL, escape_names
+from finsplice.cli import escape_names
+from finsplice.complexes import COHOMOLOGICAL
+
+COMPLEX_FORMAT = "finsplice-complex/1"
 
 
 def relation_pairs(preorder: Preorder) -> frozenset:
@@ -58,6 +61,23 @@ def is_subcomplex(candidate: SimplicialComplex, ambient: SimplicialComplex) -> b
 def face_label(face: tuple[str, ...]) -> str:
     """The vertices, escaped by `escape_names`, joined by commas, so labels are injective."""
     return ",".join(escape_names(face))
+
+
+def complex_to_dict(complex_: ChainComplex) -> dict:
+    """The `finsplice-complex/1` form: each face written as its label, each map target-by-source.
+
+    A cochain holds its chain's boundary maps and reads them transposed
+    (see `complexes`), so its coboundaries are transposed here.
+    """
+    maps = complex_.maps
+    if complex_.direction == COHOMOLOGICAL:
+        maps = tuple(m.transpose() for m in maps)
+    return {
+        "format": COMPLEX_FORMAT,
+        "direction": complex_.direction,
+        "basis": [[face_label(face) for face in faces] for faces in complex_.basis],
+        "maps": [{"rows": m.rows, "cols": m.cols, "entries": m.to_lists()} for m in maps],
+    }
 
 
 def dense_diagonals(complex_: ChainComplex) -> tuple[tuple[int, ...], ...]:

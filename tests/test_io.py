@@ -10,14 +10,13 @@ from hypothesis import given, settings, strategies as st
 from finsplice import FIXTURES, PSEUDO_S1, build_pipeline, cli, specialisation_preorder, validate_topology
 from finsplice.io import (
     SpaceFormatError,
-    complex_to_dict,
     dump_space,
     dumps,
     load_space,
     space_from_dict,
     space_to_dict,
 )
-from oracles import is_leq, relation_pairs
+from oracles import complex_to_dict, is_leq, relation_pairs
 
 
 def oracle_dumps(payload):
