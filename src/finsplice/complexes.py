@@ -4,20 +4,14 @@ The order complex of a poset has the chains (totally ordered subsets) as
 faces.  Faces are stored in relation-ascending vertex order, so the
 boundary of [v0 < ... < vk] is the usual alternating sum over deleted
 vertices.  A chain complex built from an order complex takes its faces,
-vertex-name tuples, as the basis: basis[k] is the order complex's tuple
-of k-faces itself, and distinct faces are distinct tuples, so no names
-are joined.  Chain complexes carry column-sparse integer matrices, one
-layout for both directions: maps[i] is the boundary from degree i+1 to
-degree i, one column per face of degree i+1.  The relative complex keeps
-the faces outside the subcomplex and their columns, with the subcomplex
-entries dropped.  Both builders write each column already canonical
-(sorted rows, no zeros), so no matrix is re-summed.
-
-The cochain complex is the dual Hom(C, Z), whose coboundary is the
-transposed boundary.  A matrix and its transpose share one Smith
-diagonal, so a cochain holds its chain's maps as they are and reads them
-transposed; its groups are reduced in the boundary orientation, whose
-short columns the unit-pivot pass of `homology` eliminates first.
+vertex-name tuples, as the basis.  Chain complexes carry column-sparse
+integer matrices, one layout for both directions: maps[i] is the boundary
+from degree i+1 to degree i, one column per face of degree i+1.  The
+relative complex keeps the faces outside the subcomplex and their
+columns, with the subcomplex entries dropped.  Both builders write each
+column already canonical (sorted rows, no zeros), so no matrix is
+re-summed.  The cochain complex, the dual Hom(C, Z), holds its chain's
+maps as they are and reads them transposed (see `cochain`).
 
 Constructors here check nothing; outside input is checked in `io` and
 `spaces`.  The one check on the program's own output, that consecutive
@@ -30,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .matrices import IntMatrix
@@ -82,11 +77,15 @@ def order_complex(
 
     relation "leq" uses the preorder itself, "strict" its strictification.
     The restriction must be antisymmetric; callers with an indistinguishable
-    pair must decompose first.  Each chosen point's successors are read
-    off its row.  Chains are enumerated depth first: each chain starts at
-    one point and grows only by strict successors of its last point, so
-    every chain is listed exactly once, already ascending; each
-    dimension's faces are then sorted.
+    pair must decompose first.  Chains are listed level by level: each
+    k-face, in sorted order, is extended by each strict successor of its
+    last point, in name order as read off that point's row.  So every chain
+    is listed once, ascending, and each level comes out sorted without a
+    sort.  The four-point circle has two minima below two maxima:
+
+    >>> from finsplice import PSEUDO_S1, specialisation_preorder
+    >>> order_complex(specialisation_preorder(PSEUDO_S1)).faces_by_dim
+    ((('a',), ('b',), ('c',), ('d',)), (('c', 'a'), ('c', 'b'), ('d', 'a'), ('d', 'b')))
     """
     if relation not in ("leq", "strict"):
         raise ValueError(f"unknown relation selector {relation!r}")
@@ -106,15 +105,11 @@ def order_complex(
         if twins:
             raise NotAPoset(x, rel.unmask(twins)[0])
         above[x] = rel.unmask(rel.up[i] & chosen & ~(1 << i))
-    faces_by_dim: list[list[tuple[str, ...]]] = []
-    stack = [(x,) for x in pts]
-    while stack:
-        chain = stack.pop()
-        if len(chain) > len(faces_by_dim):
-            faces_by_dim.append([])
-        faces_by_dim[len(chain) - 1].append(chain)
-        stack.extend(chain + (y,) for y in above[chain[-1]])
-    return SimplicialComplex(pts, tuple(tuple(sorted(faces)) for faces in faces_by_dim))
+    faces_by_dim, faces = [], [(x,) for x in pts]
+    while faces:
+        faces_by_dim.append(tuple(faces))
+        faces = [face + (y,) for face in faces for y in above[face[-1]]]
+    return SimplicialComplex(pts, tuple(faces_by_dim))
 
 
 @dataclass(frozen=True)
@@ -189,18 +184,18 @@ def chain_complex(complex_: SimplicialComplex) -> ChainComplex:
 
     Degree-k basis elements are the k-faces, in the complex's sorted order:
     the basis is `complex_.faces_by_dim` itself.  The boundary of a face is
-    the alternating sum over deleted vertices.  A face lists its vertices
-    in relation order, not name order, so the rows of its k+1 subfaces are
-    sorted before the column is stored.
+    the alternating sum over deleted vertices: `combinations(face, k)`
+    lists the facets from the last vertex deleted to the first, so their
+    signs run (-1)^k down to (-1)^0.  A face lists its vertices in relation
+    order, not name order, so the rows of its k+1 facets are sorted before
+    the column is stored.
     """
     maps = []
     for k in range(1, len(complex_.faces_by_dim)):
         rows = {face: i for i, face in enumerate(complex_.faces_by_dim[k - 1])}
-        signs = [(-1) ** i for i in range(k + 1)]
-        columns = tuple([
-            tuple(sorted(zip([rows[face[:i] + face[i + 1:]] for i in range(k + 1)], signs)))
-            for face in complex_.faces_by_dim[k]
-        ])
+        signs = [(-1) ** i for i in range(k, -1, -1)]
+        columns = tuple([tuple(sorted(zip(map(rows.__getitem__, combinations(face, k)), signs)))
+                         for face in complex_.faces_by_dim[k]])
         maps.append(IntMatrix(len(rows), len(columns), columns))
     return checked_complex(HOMOLOGICAL, complex_.faces_by_dim, maps)
 

@@ -5,13 +5,13 @@ column keeps only its nonzero entries, as (row, value) pairs in ascending
 row order: a boundary map of an order complex has k+1 nonzeros per column,
 so products and transposes cost what the nonzeros cost, not rows x cols.
 Shapes are explicit even when a dimension is zero, which matters for the
-empty boundary maps at the ends of a chain complex.
+empty boundary maps at the ends of a chain complex.  `mul` sums no product
+column whose terms are all +1 or -1 and cancel in pairs, as in d*d = 0.
 
-The constructor takes the stored form as it is: `IntMatrix(rows, cols,
-columns)` checks nothing, and its caller guarantees that every column is
-a tuple of (row, value) pairs sorted by row, every row is in range, and
-no value is zero.  The methods here and the complex and Smith table code
-in `complexes` and `homology` produce columns in that form already.  `from_columns` accepts pairs in
+`IntMatrix(rows, cols, columns)` takes the stored form as it is and checks
+nothing: its caller, here or in `complexes` and `homology`, guarantees
+that every column is a tuple of (row, value) pairs sorted by row, every
+row is in range, and no value is zero.  `from_columns` accepts pairs in
 any order, adds up repeated rows and drops zeros; `from_rows` takes dense
 rows.  `from_rows`, `entries` and `to_lists` are the only dense views;
 they serve the I/O edge and the test oracles.
@@ -80,11 +80,29 @@ class IntMatrix:
         return IntMatrix(self.cols, self.rows, tuple(map(tuple, rows)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
+        """The product.  A column whose terms are all +1 or -1 is () when its sorted +1 and -1 rows are equal."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
         left = self.columns
+        units = []  # the rows of each left column's +1 and -1 entries, or None if it holds another value
+        for column in left:
+            plus, minus = [i for i, x in column if x == 1], [i for i, x in column if x == -1]
+            units.append((plus, minus) if len(plus) + len(minus) == len(column) else None)
         product = []
         for column in other.columns:
+            plus, minus = [], []
+            for k, y in column:
+                unit = units[k]
+                if unit is None or y * y != 1:
+                    break
+                plus += unit[y < 0]
+                minus += unit[y > 0]
+            else:
+                plus.sort()
+                minus.sort()
+                if plus == minus:
+                    product.append(())
+                    continue
             total: dict[int, int] = {}
             for k, y in column:
                 for i, x in left[k]:

@@ -430,6 +430,14 @@ def _run_cli_subprocess(args, hashseed):
     ).stdout
 
 
+def test_cli_import_loads_no_oracle_library():
+    """numpy, scipy and sympy are installed for the test oracles only; the program stays pure Python."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, finsplice.cli; print(sorted({'numpy', 'scipy', 'sympy'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True, text=True)
+    assert result.stdout == "[]\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -310,6 +310,29 @@ def test_order_complex_matches_combination_enumerator_on_blown_up_fixtures():
         assert_witness_is_first_pair_of_each_class(preorder)
 
 
+# Four levels of three points, each point below every point of the next
+# level, with one point on three of the levels doubled: 15 points, faces up
+# to dimension 3 under the strict order, as on the benchmark's layered rung.
+LAYERED_LEVELS = (("a0", "a1", "a2"), ("b0", "b1", "b2"), ("c0", "c1", "c2"), ("d0", "d1", "d2"))
+LAYERED_TWINS = (("a1", "a1'"), ("c0", "c0'"), ("d2", "d2'"))
+
+
+def layered_preorder():
+    points = [p for level in LAYERED_LEVELS for p in level] + [twin for _, twin in LAYERED_TWINS]
+    covers = [(x, y) for lower, upper in zip(LAYERED_LEVELS, LAYERED_LEVELS[1:]) for x in lower for y in upper]
+    doubled = [pair for p, twin in LAYERED_TWINS for pair in ((p, twin), (twin, p))]
+    return preorder_from_relation(points, covers + doubled)
+
+
+def test_order_complex_matches_combination_enumerator_on_layered_relation():
+    preorder = layered_preorder()
+    assert len(preorder.points) == 15
+    classes = [cls for cls in equivalence_classes(preorder) if len(cls) > 1]
+    assert len(classes) == 3
+    assert_order_complexes_match_oracle(preorder, [decompose(preorder).representatives, *classes])
+    assert_witness_is_first_pair_of_each_class(preorder)
+
+
 def reference_chain_complex(complex_):
     """Boundary matrices through `IntMatrix.from_columns`, which sums and sorts every column.
 
@@ -405,3 +428,10 @@ def test_canonical_construction_matches_reference_on_blown_up_fixtures():
             order_complex(strict, relation="leq"), order_complex(strict, representatives, relation="leq")
         )
 
+
+def test_canonical_construction_matches_reference_on_layered_relation():
+    preorder = layered_preorder()
+    strict, representatives = strictify(preorder), decompose(preorder).representatives
+    ambient = order_complex(strict, relation="leq")
+    assert ambient.dim == 3
+    assert_canonical_construction(ambient, order_complex(strict, representatives, relation="leq"))

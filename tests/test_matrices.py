@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finsplice import IntMatrix
 
@@ -50,13 +50,31 @@ def test_equality_and_hash_do_not_depend_on_construction(case, rng):
     assert len({from_rows, plain, sparse, twice}) == 1
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.randoms(use_true_random=False))
-def test_mul_matches_naive_dense_product(n_rows, inner, n_cols, rng):
-    a = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(inner)] for _ in range(n_rows)]
-    b = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n_cols)] for _ in range(inner)]
+def factors(values):
+    """(a, b, inner, n_cols): dense factors with entries from `values`, zero dimensions included."""
+    entries = st.sampled_from(values)
+
+    def rows(n, width):
+        return st.lists(st.lists(entries, min_size=width, max_size=width), min_size=n, max_size=n)
+
+    return st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+        lambda shape: st.tuples(rows(shape[0], shape[1]), rows(shape[1], shape[2]), st.just(shape[1]), st.just(shape[2]))
+    )
+
+
+# Each example draws its entries from one of two value sets.  The second
+# makes every term +1 or -1, so product columns that cancel in pairs and
+# columns that do not both reach the unit short cut's row comparison.
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(0, 0, 0, 1, -1, 2, -3), (0, 1, -1)]).flatmap(factors))
+# +1 rows [0] and -1 rows [1]: as many of each, but different rows.
+@example(([[1, 0], [0, 1]], [[1], [-1]], 2, 1))
+# Left column 0 holds a 2 beside its +1 and -1, whose rows alone would cancel column 1's.
+@example(([[1, 1], [2, 0], [-1, -1]], [[1], [-1]], 2, 1))
+def test_mul_matches_naive_dense_product(case):
+    a, b, inner, n_cols = case
     product = IntMatrix.from_rows(a, cols=inner).mul(IntMatrix.from_rows(b, cols=n_cols))
-    assert (product.rows, product.cols) == (n_rows, n_cols)
+    assert (product.rows, product.cols) == (len(a), n_cols)
     assert product.to_lists() == naive_product(a, b, inner, n_cols)
     assert product.is_zero() == all(x == 0 for row in product.to_lists() for x in row)
 
