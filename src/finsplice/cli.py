@@ -8,6 +8,10 @@ exception, reported as one line on stderr instead of a traceback).
 The argument parser is built once per process, on the first `main` call,
 and shared by every later call; each call parses into a fresh namespace,
 so nothing derived from one call's input reaches the next.
+
+Every run starts a fresh interpreter, so importing this module loads
+nothing that no command needs; a guard test in `tests/test_cli.py` names
+the standard-library modules that must stay unloaded.
 """
 
 from __future__ import annotations

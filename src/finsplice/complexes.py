@@ -22,13 +22,13 @@ maps, so the chain's check covers it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .matrices import IntMatrix
 from .orders import strictify
+from .records import Record
 from .spaces import Preorder
 
 if TYPE_CHECKING:
@@ -48,8 +48,7 @@ class NotASubcomplex(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(NamedTuple):
     """Faces by dimension, each sorted; `order_complex` makes them downward closed and vertex-covering."""
 
     vertices: tuple[str, ...]
@@ -112,8 +111,7 @@ def order_complex(
     return SimplicialComplex(pts, tuple(faces_by_dim))
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(Record):
     """Graded free abelian groups with integer differentials.
 
     Homological complexes lower degree, cohomological raise it.  In both
@@ -130,9 +128,13 @@ class ChainComplex:
     unit pivots of maps[k+1] make boundaries.
     """
 
-    direction: str
-    basis: tuple[tuple[tuple[str, ...], ...], ...]
-    maps: tuple[IntMatrix, ...]
+    __slots__ = ("direction", "basis", "maps", "__dict__")
+    _fields = ("direction", "basis", "maps")
+
+    def __init__(self, direction: str, basis: tuple[tuple[tuple[str, ...], ...], ...], maps: tuple[IntMatrix, ...]):
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "maps", maps)
 
     @property
     def top_degree(self) -> int:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import string
 from typing import Iterable
 
 from .spaces import FiniteSpace, from_min_opens, from_preorder, preorder_from_relation, validate_topology
@@ -40,7 +39,7 @@ FIXTURES: dict[str, FiniteSpace] = {
 
 def point_names(count: int) -> tuple[str, ...]:
     if count <= 26:
-        return tuple(string.ascii_lowercase[:count])
+        return tuple("abcdefghijklmnopqrstuvwxyz"[:count])
     return tuple(f"p{i:03d}" for i in range(count))
 
 

@@ -31,16 +31,13 @@ before maps[k] is reduced, and its Smith diagonal does not change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .complexes import HOMOLOGICAL, ChainComplex
 from .matrices import IntMatrix
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(NamedTuple):
     """rank copies of Z plus cyclic factors in divisibility order.
 
     A plain record: `SmithTable.group` builds it from a Smith diagonal,
@@ -266,8 +263,11 @@ def rational_rank(matrix: IntMatrix) -> int:
     """Rank over the rationals by Gaussian elimination with exact fractions.
 
     Independent of the Smith normal form path; the test suite checks the
-    two against each other.
+    two against each other.  `fractions` is imported here, not with the
+    module, because no command calls this.
     """
+    from fractions import Fraction
+
     rows = [[Fraction(x) for x in row] for row in matrix.entries]
     rank = 0
     for col in range(matrix.cols):
@@ -286,8 +286,7 @@ def rational_rank(matrix: IntMatrix) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class SmithTable:
+class SmithTable(NamedTuple):
     """Dimensions and Smith diagonals of a complex; diagonals[i] is that of maps[i].
 
     `ChainComplex.smith` builds it on first use and keeps it.

@@ -19,12 +19,10 @@ they serve the I/O edge and the test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(NamedTuple):
     rows: int
     cols: int
     columns: tuple[tuple[tuple[int, int], ...], ...]

@@ -14,13 +14,12 @@ bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .spaces import Preorder
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Poset part (representatives), complementary part, and the indistinguishability classes."""
 
     representatives: tuple[str, ...]

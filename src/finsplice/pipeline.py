@@ -12,7 +12,7 @@ the strict one compares two complexes built from different relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import (
     ChainComplex,
@@ -31,8 +31,7 @@ POSET_WARNING = (
 )
 
 
-@dataclass(frozen=True)
-class PipelineData:
+class PipelineData(NamedTuple):
     space: FiniteSpace
     preorder: Preorder
     strict: Preorder

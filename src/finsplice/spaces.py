@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
+
+from .records import Record
 
 
 def _fmt(points: Iterable[str]) -> str:
@@ -96,8 +97,7 @@ def _union_closure(rows: Iterable[int], limit: int | None = None) -> set[int] | 
     return closure
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(Record):
     """A finite topological space, held as its specialisation preorder.
 
     Two topologies are equal exactly when their preorders are, so equality
@@ -113,7 +113,11 @@ class FiniteSpace:
     ((), ('a', 'b'), ('b',))
     """
 
-    preorder: Preorder
+    __slots__ = ("preorder", "__dict__")
+    _fields = ("preorder",)
+
+    def __init__(self, preorder: Preorder):
+        object.__setattr__(self, "preorder", preorder)
 
     @property
     def points(self) -> tuple[str, ...]:
@@ -139,8 +143,7 @@ def _sorted_points(points: Iterable[str]) -> tuple[str, ...]:
     return pts
 
 
-@dataclass(frozen=True, init=False)
-class Preorder:
+class Preorder(Record):
     """A reflexive transitive relation on sorted points, stored as bit rows.
 
     Bit j of up[i] is set when points[i] <= points[j], so up[i] is the
@@ -162,9 +165,8 @@ class Preorder:
     ('a', 'b')
     """
 
-    points: tuple[str, ...]
-    up: tuple[int, ...]
-    down: tuple[int, ...] = field(compare=False, repr=False)
+    __slots__ = ("points", "up", "down")
+    _fields = ("points", "up")  # down is derived from up
 
     def __init__(self, points: Iterable[str], up: Iterable[int]):
         pts, up = tuple(points), tuple(up)

@@ -16,13 +16,13 @@ comparison report states both sides verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .complexes import COHOMOLOGICAL, ChainComplex, checked_complex
 from .homology import GroupPresentation
 from .matrices import IntMatrix
+from .records import Record
 
 
 class InvalidLength(ValueError):
@@ -33,8 +33,7 @@ class NoSources(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """One run of n consecutive degrees drawn from a single source."""
 
     source: int
@@ -43,11 +42,14 @@ class Block:
     span: int
 
 
-@dataclass(frozen=True)
-class SplicedComplex:
-    sources: tuple[ChainComplex, ...]
-    length: int
-    blocks: tuple[Block, ...]
+class SplicedComplex(Record):
+    __slots__ = ("sources", "length", "blocks", "__dict__")
+    _fields = ("sources", "length", "blocks")
+
+    def __init__(self, sources: tuple[ChainComplex, ...], length: int, blocks: tuple[Block, ...]):
+        object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "blocks", blocks)
 
     @cached_property
     def assembled(self) -> ChainComplex:
@@ -100,7 +102,7 @@ def splice_negative(sources: Sequence[ChainComplex], length: int) -> SplicedComp
     if length > -1:
         raise InvalidLength(f"length must be <= -1, got {length}")
     swapped = splice((sources[1], sources[0]), -length)
-    return replace(swapped, length=length)
+    return SplicedComplex(swapped.sources, length, swapped.blocks)
 
 
 def spliced_cohomology(spliced: SplicedComplex, max_degree: int) -> tuple[GroupPresentation, ...]:
@@ -156,16 +158,14 @@ MISMATCH = "mismatch"
 UNCOVERED = "uncovered"
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     degree: int
     direct: GroupPresentation
     claimed: GroupPresentation | None
     verdict: str
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Per-degree verdicts of direct versus claimed groups."""
 
     rows: tuple[ComparisonRow, ...]
@@ -179,9 +179,6 @@ class ComparisonReport:
     def summary(self) -> str:
         c = self.counts()
         return f"{c[MATCH]} match / {c[MISMATCH]} mismatch / {c[UNCOVERED]} uncovered"
-
-    def all_match(self) -> bool:
-        return all(row.verdict == MATCH for row in self.rows)
 
     def as_dict(self) -> dict:
         return {

@@ -4,17 +4,20 @@ Each computes from first principles something the program derives on its
 own route (the relation as pairs, closures, subcomplex inclusion, Euler
 characteristics, face labels and the `finsplice-complex/1` form,
 per-map dense Smith diagonals, the large-length limits of a splice), so
-the tests can set the two against each other.
+the tests can set the two against each other.  `all_match` reads a
+comparison report for the tests that expect every degree to match.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from finsplice import ChainComplex, FiniteSpace, Preorder, SimplicialComplex, all_groups, smith_normal_form
+from finsplice import ChainComplex, ComparisonReport, FiniteSpace, Preorder, SimplicialComplex, all_groups
+from finsplice import smith_normal_form
 from finsplice import splice, splice_negative, spliced_cohomology
 from finsplice.cli import escape_names
 from finsplice.complexes import COHOMOLOGICAL
+from finsplice.splice import MATCH
 
 COMPLEX_FORMAT = "finsplice-complex/1"
 
@@ -83,6 +86,11 @@ def complex_to_dict(complex_: ChainComplex) -> dict:
 def dense_diagonals(complex_: ChainComplex) -> tuple[tuple[int, ...], ...]:
     """The whole-matrix dense Smith diagonal of each map on its own, in any layout."""
     return tuple(smith_normal_form(m, want_transforms=True).diagonal for m in complex_.maps)
+
+
+def all_match(report: ComparisonReport) -> bool:
+    """Every row of the comparison is a match."""
+    return all(row.verdict == MATCH for row in report.rows)
 
 
 def euler_characteristic(complex_: SimplicialComplex) -> int:

@@ -33,7 +33,7 @@ from finsplice import (
     spliced_cohomology,
     theorem_claimed_groups,
 )
-from oracles import is_leq, is_subcomplex, limit_check
+from oracles import all_match, is_leq, is_subcomplex, limit_check
 
 Z = GroupPresentation(1)
 Z2 = GroupPresentation(2)
@@ -154,7 +154,7 @@ def test_criterion_5_theorem_harness(pipelines):
         direct_p = spliced_cohomology(splice(data.sources, 3), 5)
         claimed_p = theorem_claimed_groups(*data.sources, p_max=0)
         report_p = compare(direct_p, claimed_p, range(6))
-        if not report_p.all_match():
+        if not all_match(report_p):
             rows = [
                 (row.degree, str(row.direct), str(row.claimed))
                 for row in report_p.rows

@@ -430,12 +430,29 @@ def _run_cli_subprocess(args, hashseed):
     ).stdout
 
 
+def _loaded_by_cli_import(modules):
+    """Those of the named modules that a fresh interpreter holds after importing finsplice.cli."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = f"import sys, finsplice.cli; print(sorted({set(modules)!r} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True, text=True)
+    return result.stdout
+
+
 def test_cli_import_loads_no_oracle_library():
     """numpy, scipy and sympy are installed for the test oracles only; the program stays pure Python."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    code = "import sys, finsplice.cli; print(sorted({'numpy', 'scipy', 'sympy'} & set(sys.modules)))"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True, text=True)
-    assert result.stdout == "[]\n"
+    assert _loaded_by_cli_import({"numpy", "scipy", "sympy"}) == "[]\n"
+
+
+def test_cli_import_loads_no_library_a_command_does_not_need():
+    """Every run starts a fresh interpreter, so what `import finsplice.cli` loads is start-up time.
+
+    `dataclasses` pulls in `inspect` (and with it `ast`, `dis` and
+    `tokenize`); `fractions` pulls in `decimal`.  No command needs either:
+    the records are named tuples and `__slots__` classes, and only the
+    test oracle `rational_rank` uses fractions.  `string` would serve only
+    for its lowercase alphabet.
+    """
+    assert _loaded_by_cli_import({"dataclasses", "inspect", "fractions", "decimal", "string"}) == "[]\n"
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from finsplice import (
     spliced_cohomology,
     theorem_claimed_groups,
 )
-from oracles import LengthTooSmall, limit_check, zero_complex
+from oracles import LengthTooSmall, all_match, limit_check, zero_complex
 
 Z = GroupPresentation(1)
 TRIVIAL = GroupPresentation()
@@ -151,7 +151,7 @@ def test_dup_comparison(dup_sources):
 def test_poset_input_comparison_matches(sierp_sources):
     direct = spliced_cohomology(splice(sierp_sources, 3), 5)
     report = compare(direct, theorem_claimed_groups(*sierp_sources, p_max=0), range(6))
-    assert report.all_match()
+    assert all_match(report)
 
 
 def test_empty_degree_range(dup_sources):
