@@ -34,7 +34,6 @@ POSET_WARNING = (
 class PipelineData(NamedTuple):
     space: FiniteSpace
     preorder: Preorder
-    strict: Preorder
     decomposition: Decomposition
     t0: bool
     poset_complex: SimplicialComplex
@@ -66,7 +65,6 @@ def build_pipeline(space: FiniteSpace, policy: str = "least") -> PipelineData:
     return PipelineData(
         space=space,
         preorder=preorder,
-        strict=strict,
         decomposition=decomposition,
         t0=is_poset(preorder),
         poset_complex=poset_complex,

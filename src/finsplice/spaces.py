@@ -253,26 +253,25 @@ def validate_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> 
             m |= 1 << index[p]
         masks.add(m)
 
-    def unmask(m: int) -> tuple[str, ...]:
-        return tuple(p for i, p in enumerate(pts) if m >> i & 1)
-
     if 0 not in masks:
         raise MissingEmptySet()
     if (1 << len(pts)) - 1 not in masks:
         raise MissingWholeSet()
+    # Minimal-open rows are reflexive and transitive for any family, so this
+    # cannot raise.
+    preorder = Preorder(pts, _minimal_opens(masks, len(pts)))
     # A topology is exactly the union-closure of its minimal opens; conversely,
     # if the family equals that closure, the intersection of two minimal opens
     # is the union of the minimal opens of its points, so it is open too.
-    minimal = _minimal_opens(masks, len(pts))
-    if _union_closure(minimal, len(masks)) != masks:
+    if _union_closure(preorder.up, len(masks)) != masks:
         ordered = sorted(masks)
         for ma, mb in itertools.combinations(ordered, 2):
             if ma | mb not in masks:
-                raise NotClosedUnderUnion(unmask(ma), unmask(mb))
+                raise NotClosedUnderUnion(preorder.unmask(ma), preorder.unmask(mb))
         for ma, mb in itertools.combinations(ordered, 2):
             if ma & mb not in masks:
-                raise NotClosedUnderIntersection(unmask(ma), unmask(mb))
-    return FiniteSpace(Preorder(pts, minimal))
+                raise NotClosedUnderIntersection(preorder.unmask(ma), preorder.unmask(mb))
+    return FiniteSpace(preorder)
 
 
 def specialisation_preorder(space: FiniteSpace) -> Preorder:

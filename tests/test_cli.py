@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import itertools
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import finsplice
 from finsplice import POSET_WARNING, cli, from_preorder, preorder_from_relation, random_space
 from finsplice.cli import main
 from finsplice.io import space_to_dict
@@ -453,6 +455,22 @@ def test_cli_import_loads_no_library_a_command_does_not_need():
     for its lowercase alphabet.
     """
     assert _loaded_by_cli_import({"dataclasses", "inspect", "fractions", "decimal", "string"}) == "[]\n"
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    """perfbench's traced run wraps program functions by (owner, attribute) and skips missing ones.
+
+    A product change that drops or renames such a name (`cli.splice_negative`,
+    `complexes.strictify`, `pipeline.specialisation_preorder`, ...) would only
+    thin out the traced spans, so the bindings are checked here.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bindings = tracing.Instrumentation(finsplice).bindings()
+    assert bindings
+    assert [f"{owner.__name__}.{attr}" for owner, attr, *_ in bindings if not hasattr(owner, attr)] == []
 
 
 @pytest.mark.parametrize(

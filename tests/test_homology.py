@@ -62,16 +62,20 @@ def minors_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     return tuple(factors)
 
 
-@pytest.mark.parametrize(
-    "rows,expected",
-    [
-        ([[2, 0], [0, 3]], (1, 6)),
-        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (1, 1, 1)),
-        ([[-1], [-1]], (1,)),
-        ([[0, 0], [0, 0]], ()),
-        ([[6, 4], [4, 6]], (2, 10)),
-    ],
-)
+SNF_EXAMPLES = [
+    ([[2, 0], [0, 3]], (1, 6)),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (1, 1, 1)),
+    ([[-1], [-1]], (1,)),
+    ([[0, 0], [0, 0]], ()),
+    ([[6, 4], [4, 6]], (2, 10)),
+    ([[0, 2], [3, 0]], (1, 6)),  # pivot off the corner; 2 does not divide 3
+    ([[-4, 0], [0, -6]], (2, 12)),  # negative pivots, and 4 does not divide 6
+    ([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], (2, 2, 156)),
+    ([[2, 1], [0, 2]], (1, 4)),
+]
+
+
+@pytest.mark.parametrize("rows,expected", SNF_EXAMPLES)
 def test_snf_examples(rows, expected):
     m = IntMatrix.from_rows(rows, cols=len(rows[0]) if rows else 0)
     assert smith_normal_form(m).diagonal == expected
@@ -83,14 +87,16 @@ def test_snf_empty_matrix():
     assert smith_normal_form(IntMatrix.zeros(3, 0)).diagonal == ()
 
 
-def test_snf_transforms_exact():
-    m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+@pytest.mark.parametrize("rows,expected", SNF_EXAMPLES)
+def test_snf_transforms_exact(rows, expected):
+    m = IntMatrix.from_rows(rows)
     diagonal, left, right = smith_normal_form(m, want_transforms=True)
     smith = IntMatrix.zeros(m.rows, m.cols).to_lists()
     for i, d in enumerate(diagonal):
         smith[i][i] = d
     assert left.mul(m).mul(right) == IntMatrix.from_rows(smith, cols=m.cols)
-    assert diagonal == minors_invariant_factors(m)
+    assert _unimodular(left) and _unimodular(right)
+    assert diagonal == expected == minors_invariant_factors(m)
 
 
 def _unimodular(m: IntMatrix) -> bool:
