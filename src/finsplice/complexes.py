@@ -125,7 +125,7 @@ class ChainComplex(Record):
     `checked_complex`, its maps compose to zero and its top degree is
     nonempty.  `smith` assumes both the boundary layout and maps that
     compose to zero: `SmithTable.of` deletes the columns of maps[k] that the
-    unit pivots of maps[k+1] make boundaries.
+    +-1 lows of maps[k+1] make boundaries.
     """
 
     __slots__ = ("direction", "basis", "maps", "__dict__")

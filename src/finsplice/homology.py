@@ -11,26 +11,26 @@ transposed.  A matrix and its transpose have the same Smith diagonal, so
 a cochain's table is computed on the boundary matrices; the direction
 only tells `SmithTable.group` which map leaves a degree and which enters.
 
-`SmithTable.of` first eliminates +-1 pivots on the column-sparse matrix,
-as in Dumas, Saunders and Villard, "On efficient sparse integer matrix
-Smith normal form computations" (J. Symb. Comput. 32, 2001); each adds a
-1 to the diagonal.  Boundary maps of order complexes, whose columns hold
-k+1 entries each, reduce almost entirely this way, short columns first:
-on every input of perfbench's corpus, layered and blowup workloads the
-unit pass leaves every map empty.  `smith_normal_form` finishes the
-leftover block, which is not empty when there is torsion (the projective
-plane's face poset, say).  It is one elimination loop on one dense
-matrix; asked for unimodular transforms, it runs the same loop on the
-matrix augmented by two identities, and so serves the tests as oracle on
-whole matrices.
+`SmithTable.of` first reduces each column-sparse map by its lowest
+entries, the standard persistence reduction (Zomorodian and Carlsson,
+"Computing persistent homology", 2005) run over Z: a column subtracts the
+earlier reduced column with the same lowest row, whose entry there is
++-1, and each +-1 low that remains adds a 1 to the diagonal.  On every
+input of perfbench's corpus, layered and blowup workloads every low is
++-1 and the reduction leaves every map empty.  `smith_normal_form`
+finishes the leftover block, which is not empty when there is torsion
+(the projective plane's face poset, say).
+It is one elimination loop on one dense matrix; asked for unimodular
+transforms, it runs the same loop on the matrix augmented by two
+identities, and so serves the tests as oracle on whole matrices.
 
 `SmithTable.of` reduces a complex's maps top-down and clears, the way
 persistent homology codes do (Chen and Kerber, "Persistent homology
 computation with a twist", EuroCG 2011; Bauer, Kerber and Reininghaus,
-"Clear and Compress", 2014), here over Z with the +-1 pivots.  A unit
-pivot of maps[k+1] in row p makes basis vector p of degree k+1 a
-boundary, so maps[k] sends it to zero: column p of maps[k] is deleted
-before maps[k] is reduced, and its Smith diagonal does not change.
+"Clear and Compress", 2014).  A +-1 low p of maps[k+1] makes basis
+vector p of degree k+1, plus earlier ones, a boundary, so column p of
+maps[k] is deleted before maps[k] is reduced, and its Smith diagonal
+does not change.
 """
 
 from __future__ import annotations
@@ -81,53 +81,48 @@ class SmithNormalForm(NamedTuple):
 
 
 def _unit_pivots(matrix: IntMatrix) -> tuple[set[int], IntMatrix]:
-    """Eliminate +-1 pivots sparsely; return their rows and the leftover block.
+    """Reduce the columns by their lowest entries; return the +-1 lows and the leftover block.
 
-    A pivot at (p, j) clears the rest of row p by column operations, after
-    which row operations clear column j without touching anything else, so
-    the matrix is equivalent to a 1 beside the updated matrix with row p
-    and column j deleted.  Short columns go first, and within a column the pivot row
-    with the fewest entries, to keep fill-in low.  Passes repeat while they
-    find pivots, since elimination can create new +-1 entries.
+    Left to right, a column subtracts the earlier reduced column with the
+    same lowest row, whose entry there is +-1, until its lowest row is new
+    (Zomorodian and Carlsson, "Computing persistent homology", 2005).  A +-1
+    there makes that row a pivot row; any other entry sets the column aside.
+    Pivot rows against their columns form a triangular block with +-1 on
+    its diagonal, so the matrix is equivalent to that many 1s beside the
+    set-aside columns reduced off every pivot row, highest row first, and
+    restricted to the rows where they still have entries.
+
+    >>> _unit_pivots(IntMatrix.from_rows([[1, 0], [1, 1], [0, 2]]))
+    ({1}, IntMatrix(rows=2, cols=1, columns=(((0, -1), (1, 2)),)))
     """
-    columns = {j: dict(column) for j, column in enumerate(matrix.columns) if column}
-    in_row: dict[int, set[int]] = {}
-    for j, column in columns.items():
-        for i in column:
-            in_row.setdefault(i, set()).add(j)
-    pivots: set[int] = set()
-    progress = True
-    while progress:
-        progress = False
-        for j in sorted(columns, key=lambda j: (len(columns[j]), j)):
-            pivot_column = columns.get(j, {})
-            candidates = [i for i, x in pivot_column.items() if x in (1, -1)]
-            if not candidates:
-                continue
-            p = min(candidates, key=lambda i: (len(in_row[i]), i))
-            del columns[j]
-            for i in pivot_column:
-                in_row[i].discard(j)
-            sign = pivot_column.pop(p)
-            for other in in_row.pop(p):
-                target = columns[other]
-                q = target.pop(p) * sign
-                for i, x in pivot_column.items():
-                    y = target.get(i, 0) - q * x
-                    if not y:
-                        del target[i]
-                        in_row[i].discard(other)
-                    else:
-                        if i not in target:
-                            in_row[i].add(other)
-                        target[i] = y
-                if not target:
-                    del columns[other]
-            pivots.add(p)
-            progress = True
-    rows = {i: new for new, i in enumerate(sorted(i for i, js in in_row.items() if js))}
-    block = [[(rows[i], x) for i, x in columns[j].items()] for j in sorted(columns)]
-    return pivots, IntMatrix.from_columns(len(rows), len(block), block)
+    reduced: dict[int, dict[int, int]] = {}
+    aside = []
+
+    def clear(column: dict[int, int], p: int) -> None:
+        """Cancel the column's entry at p with the reduced column whose +-1 low is p."""
+        pivot = reduced[p]
+        q = column[p] * pivot[p]
+        for i, x in pivot.items():
+            if y := column.get(i, 0) - q * x:
+                column[i] = y
+            else:
+                del column[i]
+
+    for entries in matrix.columns:
+        column = dict(entries)
+        while column and (low := max(column)) in reduced:
+            clear(column, low)
+        if column and column[low] in (1, -1):
+            reduced[low] = column
+        elif column:
+            aside.append(column)
+    for p in sorted(reduced, reverse=True) if aside else ():
+        for column in aside:
+            if p in column:
+                clear(column, p)
+    rows = {i: new for new, i in enumerate(sorted({i for column in aside for i in column}))}
+    block = [[(rows[i], x) for i, x in column.items()] for column in aside]
+    return set(reduced), IntMatrix.from_columns(len(rows), len(block), block)
 
 
 def smith_normal_form(matrix: IntMatrix, want_transforms: bool = False) -> SmithNormalForm:
@@ -149,7 +144,7 @@ def smith_normal_form(matrix: IntMatrix, want_transforms: bool = False) -> Smith
     so its row operations write U beside A and its column operations write
     V below it.  All arithmetic is exact.
 
-    `SmithTable.of` hands it only the block its sparse unit pass leaves.
+    `SmithTable.of` hands it only the block its low-pivot reduction leaves.
 
     >>> smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).diagonal
     (1, 6)
@@ -256,14 +251,16 @@ class SmithTable(NamedTuple):
 
         The maps are reduced top-down with clearing (Chen and Kerber, EuroCG
         2011; Bauer, Kerber and Reininghaus, "Clear and Compress", 2014).
-        Say the unit pass on maps[k+1] pivots at (p, j) with +-1.  After the
-        row operations that clear column j, basis vector p of degree k+1 is
-        the boundary of a chain, so maps[k] sends it to zero, while the other
-        basis vectors of degree k+1 stay as they were.  So maps[k] with the
-        columns of all of maps[k+1]'s pivot rows deleted has the same Smith
-        diagonal as maps[k], and the unit pass and the dense elimination run
-        on that narrower matrix.  Every map, the bottom one included, goes
-        through the unit pass, and `smith_normal_form` reduces what is left.
+        Say a reduced column R of maps[k+1] has its low at p.  R is maps[k+1]
+        of an integer chain v, has +-1 at p and entries only above p.  As
+        maps[k] R = 0, column p of maps[k] is an integer combination of
+        earlier columns.  Deleting those columns from the highest p down is
+        a sequence of unimodular column operations followed by dropping a
+        zero column, so maps[k] without the columns of all of maps[k+1]'s
+        +-1 lows has the same Smith diagonal as maps[k], and the reduction
+        and the dense elimination run on that narrower matrix.  Every map,
+        the bottom one included, is reduced by its lows, and
+        `smith_normal_form` reduces what is left.
 
         The Z/2 projective plane (two vertices, three edges, two faces):
 

@@ -158,7 +158,7 @@ unit_biased_matrices = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
 
 
 def one_map_diagonal(m):
-    """The diagonal `SmithTable.of` reads for m as the one map of a complex: unit pass, then dense block."""
+    """The diagonal `SmithTable.of` reads for m as the one map of a complex: low reduction, then dense block."""
     basis = (tuple((f"r{i}",) for i in range(m.rows)), tuple((f"c{j}",) for j in range(m.cols)))
     return SmithTable.of(ChainComplex(HOMOLOGICAL, basis, (m,))).diagonals[0]
 
@@ -196,8 +196,8 @@ def test_snf_without_transforms_on_layered_pipeline():
 
 
 def test_smith_table_reduces_each_map_without_the_pivot_rows_of_the_map_above(monkeypatch):
-    # Pins clearing without timing it: below the top, maps[k] reaches the unit
-    # pass with exactly dim(k+1) minus the unit pivots of maps[k+1] columns.
+    # Pins clearing without timing it: below the top, maps[k] reaches the low
+    # reduction with exactly dim(k+1) minus the +-1 lows of maps[k+1] columns.
     received = []
     unit_pivots = homology._unit_pivots
 
@@ -222,6 +222,25 @@ def test_smith_table_reduces_each_map_without_the_pivot_rows_of_the_map_above(mo
             cleared_columns += len(pivots)
             pivots = received[inputs.index(expected)][1]
     assert cleared_columns > 0
+
+
+def test_every_pipeline_map_reduces_by_its_lows_alone(pipelines):
+    # Every low of an order complex's boundary map here is +-1, so no map
+    # reaches the dense elimination with an entry; torsion does.
+    datas = pipelines + [build_pipeline(space) for space in FIXTURES.values()] + [build_pipeline(_layered_with_twin())]
+    checked = 0
+    for data in datas:
+        for cc in (data.poset_chain, data.ambient_chain, data.relative_chain):
+            for m in cc.maps:
+                pivots, block = homology._unit_pivots(m)
+                assert not any(block.columns)
+                assert len(pivots) == rational_rank(m)
+                checked += 1
+    assert checked > 1000
+    pivots, block = homology._unit_pivots(_projective_plane_chains().maps[1])
+    assert any(block.columns)
+    assert len(pivots) + len(smith_normal_form(block).diagonal) == 2
+    assert smith_normal_form(block).diagonal[-1] == 2
 
 
 def _rebased(complex_, steps):
@@ -263,8 +282,8 @@ basis_steps = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(["projective plane", "kernel and cokernel"]), basis_steps)
 def test_smith_table_matches_dense_diagonals_after_unimodular_rebasing(name, steps):
-    # Re-basing keeps d∘d = 0 and every Smith diagonal, but turns the unit
-    # pivots that clearing relies on into dense leftovers and torsion.
+    # Re-basing keeps d∘d = 0 and every Smith diagonal, but turns the +-1
+    # lows that clearing relies on into dense leftovers and torsion.
     complex_ = {"projective plane": _projective_plane_chains, "kernel and cokernel": kernel_cokernel_cochains}[name]()
     rebased = _rebased(complex_, steps)
     for first, second in zip(rebased.maps, rebased.maps[1:]):
