@@ -5,8 +5,11 @@ column keeps only its nonzero entries, as (row, value) pairs in ascending
 row order: a boundary map of an order complex has k+1 nonzeros per column,
 so products and transposes cost what the nonzeros cost, not rows x cols.
 Shapes are explicit even when a dimension is zero, which matters for the
-empty boundary maps at the ends of a chain complex.  `mul` sums no product
-column whose terms are all +1 or -1 and cancel in pairs, as in d*d = 0.
+empty boundary maps at the ends of a chain complex.  `mul` splits each
+left column once into its +1 rows and its -1 rows; a product column whose
+terms are all +1 or -1 times such columns is the difference of two row
+lists, and it is zero when they are equal as sorted lists, as in d*d = 0.
+Every other product column is summed exactly.
 
 `IntMatrix(rows, cols, columns)` takes the stored form as it is and checks
 nothing: its caller, here or in `complexes` and `homology`, guarantees
@@ -79,23 +82,49 @@ class IntMatrix(NamedTuple):
         return IntMatrix(self.cols, self.rows, tuple(map(tuple, rows)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
-        """The product.  A column whose terms are all +1 or -1 is () when its sorted +1 and -1 rows are equal."""
+        """The product.
+
+        One pass over each left column lists its +1 rows and its -1 rows,
+        or None for both when it holds another value.  A product column
+        whose terms are all +1 or -1 and refer to such columns gathers the
+        rows its terms add and the rows they subtract; it is () when the
+        two lists are equal once sorted.  Any other column, and a column
+        whose lists differ, is summed exactly.
+
+        >>> boundary = IntMatrix.from_rows([[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
+        >>> boundary.mul(IntMatrix.from_rows([[1, 2], [-1, 0], [1, 0]])).columns
+        ((), ((0, -2), (1, 2)))
+        """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
         left = self.columns
-        units = []  # the rows of each left column's +1 and -1 entries, or None if it holds another value
+        ones, minus_ones = [], []
         for column in left:
-            plus, minus = [i for i, x in column if x == 1], [i for i, x in column if x == -1]
-            units.append((plus, minus) if len(plus) + len(minus) == len(column) else None)
+            plus, minus = [], []
+            for i, x in column:
+                if x == 1:
+                    plus.append(i)
+                elif x == -1:
+                    minus.append(i)
+                else:
+                    plus = minus = None
+                    break
+            ones.append(plus)
+            minus_ones.append(minus)
         product = []
         for column in other.columns:
             plus, minus = [], []
             for k, y in column:
-                unit = units[k]
-                if unit is None or y * y != 1:
+                if ones[k] is None:
                     break
-                plus += unit[y < 0]
-                minus += unit[y > 0]
+                if y == 1:
+                    plus += ones[k]
+                    minus += minus_ones[k]
+                elif y == -1:
+                    plus += minus_ones[k]
+                    minus += ones[k]
+                else:
+                    break
             else:
                 plus.sort()
                 minus.sort()

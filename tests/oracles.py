@@ -2,10 +2,10 @@
 
 Each computes from first principles something the program derives on its
 own route (the relation as pairs, closures, subcomplex inclusion, Euler
-characteristics, face labels and the `finsplice-complex/1` form,
-per-map dense Smith diagonals, the large-length limits of a splice), so
-the tests can set the two against each other.  `all_match` reads a
-comparison report for the tests that expect every degree to match.
+characteristics, face labels and the `finsplice-complex/1` form, dense
+products, per-map dense Smith diagonals, the large-length limits of a
+splice), so the tests can set the two against each other.  `all_match`
+reads a comparison report for the tests that expect every degree to match.
 """
 
 from __future__ import annotations
@@ -81,6 +81,11 @@ def complex_to_dict(complex_: ChainComplex) -> dict:
         "basis": [[face_label(face) for face in faces] for faces in complex_.basis],
         "maps": [{"rows": m.rows, "cols": m.cols, "entries": m.to_lists()} for m in maps],
     }
+
+
+def naive_product(a: list[list[int]], b: list[list[int]], inner: int, cols: int) -> list[list[int]]:
+    """The dense product of row lists; `inner` and `cols` give the shapes when a dimension is zero."""
+    return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)] for row in a]
 
 
 def dense_diagonals(complex_: ChainComplex) -> tuple[tuple[int, ...], ...]:

@@ -30,7 +30,16 @@ from finsplice import (
 )
 from finsplice.complexes import COHOMOLOGICAL, HOMOLOGICAL, checked_complex
 from finsplice.homology import SmithTable
-from oracles import complex_to_dict, dense_diagonals, euler_characteristic, is_subcomplex, relation_pairs, zero_complex
+from oracles import (
+    complex_to_dict,
+    dense_diagonals,
+    euler_characteristic,
+    is_subcomplex,
+    naive_product,
+    relation_pairs,
+    zero_complex,
+)
+from test_homology import _layered_with_twin
 from test_orders import oracle_strictify_pairs
 from test_spaces import blown_up_fixtures, relations
 
@@ -220,10 +229,29 @@ def test_cochain_of_circle_is_transpose(circle_complex):
 
 
 def test_compositions_are_zero(pipelines):
-    for data in pipelines[:100]:
+    # The naive dense product is the oracle for the +-1 short cut of `mul`.
+    datas = pipelines + [build_pipeline(space) for space in FIXTURES.values()] + [build_pipeline(_layered_with_twin())]
+    checked = 0
+    for data in datas:
         for cc in (data.poset_chain, data.ambient_chain, data.relative_chain):
             for i in range(len(cc.maps) - 1):
-                assert cc.maps[i].mul(cc.maps[i + 1]).is_zero()
+                a, b = cc.maps[i], cc.maps[i + 1]
+                product = a.mul(b)
+                assert product.to_lists() == naive_product(a.to_lists(), b.to_lists(), a.cols, b.cols)
+                assert product.is_zero()
+                checked += 1
+    assert checked > 400
+
+
+def test_chain_complex_rejects_unit_terms_that_do_not_pair_up():
+    # The triangle's boundary bc - ac + ab with the sign of ab flipped: every
+    # term of the composite is +1 or -1, it adds rows [a, a, c] and subtracts
+    # rows [b, b, c], and it is 2a - 2b.
+    first = IntMatrix.from_rows([[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
+    second = IntMatrix.from_rows([[-1], [-1], [1]])
+    assert first.mul(second).to_lists() == [[2], [-2], [0]]
+    with pytest.raises(ValueError, match="do not compose to zero"):
+        checked_complex(HOMOLOGICAL, (("a", "b", "c"), ("ab", "ac", "bc"), ("abc",)), (first, second))
 
 
 def test_chain_complex_rejects_bad_composition():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from finsplice import IntMatrix
+from oracles import naive_product
 
 
 def dense(max_dim=5, values=st.integers(-4, 4)):
@@ -12,10 +13,6 @@ def dense(max_dim=5, values=st.integers(-4, 4)):
             st.lists(st.lists(values, min_size=shape[1], max_size=shape[1]), min_size=shape[0], max_size=shape[0]),
         )
     )
-
-
-def naive_product(a, b, inner, cols):
-    return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)] for row in a]
 
 
 @settings(max_examples=100, deadline=None)
@@ -71,6 +68,16 @@ def factors(values):
 @example(([[1, 0], [0, 1]], [[1], [-1]], 2, 1))
 # Left column 0 holds a 2 beside its +1 and -1, whose rows alone would cancel column 1's.
 @example(([[1, 1], [2, 0], [-1, -1]], [[1], [-1]], 2, 1))
+# Left column 0 holds a -2 beside a +1; read as -1 it would cancel column 1.
+@example(([[1, 1], [-2, -1]], [[1], [-1]], 2, 1))
+# Terms 2 and -2 times all +-1 left columns: read as +-1 they would cancel.
+@example(([[1, -1], [-1, 1]], [[2, -2], [1, -1]], 2, 2))
+# Left column 0 is empty: a term on it adds no rows.
+@example(([[0, 1], [0, -1]], [[-1, 1], [0, 1]], 2, 2))
+# Right column 0 is empty.
+@example(([[1], [-1]], [[0, 1]], 1, 2))
+# Zero inner dimension: every product column is empty.
+@example(([[], []], [], 0, 3))
 def test_mul_matches_naive_dense_product(case):
     a, b, inner, n_cols = case
     product = IntMatrix.from_rows(a, cols=inner).mul(IntMatrix.from_rows(b, cols=n_cols))
