@@ -17,8 +17,8 @@ that every column is a tuple of (row, value) pairs sorted by row, every
 row is in range, and no value is zero.  `from_columns` accepts pairs in
 any order, adds up repeated rows and drops zeros; `from_rows` takes dense
 rows.  `from_rows`, `entries` and `to_lists` are the only dense views;
-they serve the I/O edge and the test oracles, and `to_lists` also feeds
-the dense elimination of `homology.smith_normal_form`.
+they serve the test oracles, `rational_rank` among them, and `to_lists`
+and `from_rows` also carry the dense `homology.smith_normal_form`.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from .complexes import (
     order_complex,
     relative_chain_complex,
 )
-from .orders import Decomposition, decompose, is_poset, strictify
+from .orders import Decomposition, decompose, strictify
 from .spaces import FiniteSpace, Preorder, specialisation_preorder
 
 POSET_WARNING = (
@@ -66,7 +66,7 @@ def build_pipeline(space: FiniteSpace, policy: str = "least") -> PipelineData:
         space=space,
         preorder=preorder,
         decomposition=decomposition,
-        t0=is_poset(preorder),
+        t0=not decomposition.complementary,  # T0: every class is one point
         poset_complex=poset_complex,
         ambient_complex=ambient_complex,
         sub_complex=sub_complex,

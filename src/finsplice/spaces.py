@@ -11,16 +11,17 @@ Subsets of the points are bitmasks over the sorted points, and a
 `Preorder` is one such row per point: its up-set, which is also the
 point's minimal open, kept with the transposed down-set rows.  Every
 layer that reads a preorder works on these rows with word operations;
-(x, y) pairs appear only in relation input.  Relation input is closed by
-Warshall's algorithm on the rows, and minimal-open generators and
-explicit families are intersected into rows, so no input form lists the
-opens or the 2^n subsets of the points.
+(x, y) pairs appear only in relation input.  Names become bits in one
+place, `_mask`, against a name-to-position index; it alone raises
+`UnknownPoint`, and it reads names as given, never as their `str()`.
+Relation input is closed by Warshall's algorithm on the rows, and
+minimal-open generators and explicit families are intersected into rows,
+so no input form lists the opens or the 2^n subsets of the points.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -28,7 +29,7 @@ from .records import Record
 
 
 def _fmt(points: Iterable[str]) -> str:
-    return "{" + ", ".join(points) + "}"
+    return "{" + ", ".join(map(str, points)) + "}"
 
 
 class TopologyError(ValueError):
@@ -65,6 +66,17 @@ class UnknownPoint(TopologyError):
 
 class InvalidPreorder(ValueError):
     """Relation is not reflexive or not transitive over its points."""
+
+
+def _mask(names: Iterable[str], index: Mapping[str, int]) -> int:
+    """The bitmask of the names under the index; the first unknown name raises UnknownPoint."""
+    m = 0
+    for p in names:
+        try:
+            m |= 1 << index[p]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise UnknownPoint(p) from None
+    return m
 
 
 def _minimal_opens(masks: Iterable[int], n: int) -> list[int]:
@@ -135,7 +147,7 @@ def _lowest(m: int) -> int:
 
 
 def _sorted_points(points: Iterable[str]) -> tuple[str, ...]:
-    pts = tuple(sorted(str(p) for p in points))
+    pts = tuple(sorted(points))
     if not pts:
         raise InvalidPreorder("point set must be nonempty")
     if any(a == b for a, b in zip(pts, pts[1:])):
@@ -198,22 +210,8 @@ class Preorder(Record):
         object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", tuple(down))
 
-    def _position(self, p: str) -> int:
-        """Index of p among the points, or -1."""
-        if isinstance(p, str):
-            i = bisect_left(self.points, p)
-            if i < len(self.points) and self.points[i] == p:
-                return i
-        return -1
-
     def mask_of(self, subset: Iterable[str]) -> int:
-        m = 0
-        for p in subset:
-            i = self._position(p)
-            if i < 0:
-                raise UnknownPoint(p)
-            m |= 1 << i
-        return m
+        return _mask(subset, {p: i for i, p in enumerate(self.points)})
 
     def unmask(self, m: int) -> tuple[str, ...]:
         """The points whose bits are set in m, in sorted order."""
@@ -236,7 +234,7 @@ def validate_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> 
     union (then intersection) is missing.  The minimal opens are the rows
     of the space's preorder.
     """
-    pts = [str(p) for p in points]
+    pts = list(points)
     if not pts:
         raise TopologyError("point set must be nonempty")
     if len(set(pts)) != len(pts):
@@ -244,14 +242,7 @@ def validate_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> 
     pts = tuple(sorted(pts))
     index = {p: i for i, p in enumerate(pts)}
 
-    masks = set()
-    for open_set in opens:
-        m = 0
-        for p in open_set:
-            if p not in index:
-                raise UnknownPoint(p)
-            m |= 1 << index[p]
-        masks.add(m)
+    masks = {_mask(open_set, index) for open_set in opens}
 
     if 0 not in masks:
         raise MissingEmptySet()
@@ -301,18 +292,14 @@ def from_min_opens(points: Iterable[str], min_opens: Mapping[str, Iterable[str]]
     the preorder whose row at x is U_x.  Every point must lie in its own
     generator.
     """
-    pts = tuple(sorted(str(p) for p in points))
+    pts = tuple(sorted(points))
     if set(min_opens) != set(pts):
         missing = sorted(set(pts) ^ set(min_opens))
         raise TopologyError(f"min_opens keys must match the point set (mismatch: {missing})")
     index = {p: i for i, p in enumerate(pts)}
     generators = []
     for p in pts:
-        m = 0
-        for q in min_opens[p]:
-            if q not in index:
-                raise UnknownPoint(q)
-            m |= 1 << index[q]
+        m = _mask(min_opens[p], index)
         if not m >> index[p] & 1:
             raise TopologyError(f"minimal open of {p!r} does not contain it")
         generators.append(m)
@@ -326,15 +313,12 @@ def preorder_from_relation(points: Iterable[str], pairs: Iterable[tuple[str, str
     reachable from x through intermediate points among the first k.  The
     rows are the preorder's up-set rows.
     """
-    pts = tuple(sorted(str(p) for p in points))
+    pts = tuple(sorted(points))
     index = {p: i for i, p in enumerate(pts)}
     reach = [1 << i for i in range(len(pts))]
     for x, y in pairs:
-        if x not in index:
-            raise UnknownPoint(x)
-        if y not in index:
-            raise UnknownPoint(y)
-        reach[index[x]] |= 1 << index[y]
+        pair = _mask((x, y), index)  # row x holds bit x already
+        reach[index[x]] |= pair
     for k in range(len(pts)):
         bit, row_k = 1 << k, reach[k]
         for i, row in enumerate(reach):

@@ -529,6 +529,32 @@ def test_unreadable_json_is_an_input_error(capsys, tmp_path, content):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "document,message",
+    [
+        ({"points": ["a", "a"], "min_opens": {"a": ["z"]}}, "unknown point 'z'"),
+        ({"points": ["a", "a"], "leq": [["a", "z"]]}, "unknown point 'z'"),
+        ({"points": ["a", "a"], "min_opens": {"a": ["a"]}}, "point identifiers must be distinct"),
+        ({"points": ["a", "a"], "leq": [["a", "a"]]}, "point identifiers must be distinct"),
+        ({"points": ["a", "a"], "opens": [[], ["z"]]}, "point identifiers must be distinct"),
+        ({"points": [], "min_opens": {}}, "point set must be nonempty"),
+    ],
+    ids=[
+        "min_opens-unknown-before-duplicate",
+        "leq-unknown-before-duplicate",
+        "min_opens-duplicate",
+        "leq-duplicate",
+        "opens-duplicate-before-unknown",
+        "min_opens-no-points",
+    ],
+)
+def test_input_errors_keep_their_precedence(capsys, tmp_path, document, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run(capsys, "decompose", "--input", str(path))
+    assert (code, out, err) == (2, "", f"finsplice: input error: {message}\n")
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_lone_surrogate_point_is_an_input_error_in_a_real_process(tmp_path, fmt):
     # A StringIO accepts lone surrogates, so only a real stdout shows the

@@ -22,6 +22,7 @@ from finsplice import (
     decompose,
     equivalence_classes,
     from_preorder,
+    is_poset,
     order_complex,
     preorder_from_relation,
     relative_chain_complex,
@@ -156,6 +157,8 @@ def test_relative_basis_is_the_faces_meeting_the_complementary_part(pipelines):
     blown_up = [build_pipeline(from_preorder(preorder)) for preorder in blown_up_fixtures()]
     slices = 0
     for data in [*pipelines, *map(build_pipeline, FIXTURES.values()), *blown_up]:
+        # The pipeline reads T0 off the decomposition; the row scan is the oracle.
+        assert data.t0 == is_poset(data.preorder)
         complementary = set(data.decomposition.complementary)
         relative = data.relative_chain
         for k, faces in enumerate(data.ambient_complex.faces_by_dim):

@@ -339,6 +339,44 @@ def test_min_opens_checks_in_order():
         from_min_opens(("a", "b"), {"a": ("b",), "b": ("z",)})
 
 
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: from_min_opens(("a", "a"), {"a": ("z",)}), UnknownPoint, "unknown point 'z'"),
+        (lambda: preorder_from_relation(("a", "a"), [("a", "z")]), UnknownPoint, "unknown point 'z'"),
+        (lambda: preorder_from_relation(("a",), [("y", "z")]), UnknownPoint, "unknown point 'y'"),
+        (lambda: from_min_opens(("a", "a"), {"a": ("a",)}), InvalidPreorder, "point identifiers must be distinct"),
+        (lambda: preorder_from_relation(("a", "a"), []), InvalidPreorder, "point identifiers must be distinct"),
+        (lambda: validate_topology(("a", "a"), [[], ["z"]]), TopologyError, "point identifiers must be distinct"),
+        (lambda: from_min_opens((), {}), InvalidPreorder, "point set must be nonempty"),
+    ],
+    ids=[
+        "min_opens-unknown-before-duplicate",
+        "leq-unknown-before-duplicate",
+        "leq-left-name-first",
+        "min_opens-duplicate",
+        "leq-duplicate",
+        "opens-duplicate-before-unknown",
+        "min_opens-no-points",
+    ],
+)
+def test_input_errors_keep_their_precedence(build, error, message):
+    # Unknown names are read first; duplicate or missing points in generator
+    # and relation input are then reported by the Preorder constructor.
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_point_names_are_read_as_given():
+    assert preorder_from_relation([1, 2], [(1, 2)]) == Preorder((1, 2), (0b11, 0b10))
+    assert validate_topology([1], [[], [1]]).points == (1,)
+    assert from_min_opens([1], {1: [1]}).points == (1,)
+    with pytest.raises(NotClosedUnderUnion, match=r"\{1\} and \{2\}"):
+        validate_topology([1, 2, 3], [[], [1], [2], [1, 2, 3]])
+
+
 @settings(max_examples=200, deadline=None)
 @given(generator_families())
 def test_min_opens_match_fixed_point_closure(family):
