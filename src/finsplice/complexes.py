@@ -13,11 +13,14 @@ column already canonical (sorted rows, no zeros), so no matrix is
 re-summed.  The cochain complex, the dual Hom(C, Z), holds its chain's
 maps as they are and reads them transposed (see `cochain`).
 
-Constructors here check nothing; outside input is checked in `io` and
-`spaces`.  The one check on the program's own output, that consecutive
-differentials compose to zero, is in `checked_complex`, which chain,
-relative and spliced complexes go through.  A cochain shares its chain's
-maps, so the chain's check covers it.
+`ChainComplex` and `SimplicialComplex` check nothing; outside input is
+checked in `io` and `spaces`.  The builders check only a library caller's
+arguments: `order_complex` raises `NotAPoset` on chosen points that are
+repeated or twins, `relative_chain_complex` raises `NotASubcomplex`, and
+it and `cochain` reject a complex of the wrong direction.  The one check
+on the program's own output, that consecutive differentials compose to
+zero, is in `checked_complex`, which chain, relative and spliced
+complexes go through; a cochain shares its chain's maps and check.
 """
 
 from __future__ import annotations

@@ -11,18 +11,13 @@ transposed.  A matrix and its transpose have the same Smith diagonal, so
 a cochain's table is computed on the boundary matrices; the direction
 only tells `SmithTable.group` which map leaves a degree and which enters.
 
-`SmithTable.of` first reduces each column-sparse map by its lowest
-entries, the standard persistence reduction (Zomorodian and Carlsson,
-"Computing persistent homology", 2005) run over Z: a column subtracts the
-earlier reduced column with the same lowest row, whose entry there is
-+-1, and each +-1 low that remains adds a 1 to the diagonal.  On every
-input of perfbench's corpus, layered and blowup workloads every low is
-+-1 and the reduction leaves every map empty.  `smith_normal_form`
-finishes the leftover block, which is not empty when there is torsion
-(the projective plane's face poset, say).
-It is one elimination loop on one dense matrix; asked for unimodular
-transforms, it runs the same loop on the matrix augmented by two
-identities, and so serves the tests as oracle on whole matrices.
+`smith_normal_form` is the one Smith routine: it reduces a column-sparse
+map by its lowest entries over Z, each +-1 low giving a 1 on the
+diagonal, and finishes the leftover block with `_diagonalize`, one dense
+elimination loop.  That block is empty on every input of perfbench's
+workloads and not when there is torsion (the projective plane's face
+poset, say).  The tests' transform oracle runs the same loop on a matrix
+augmented by two identities and reads U and V off the margins.
 
 `SmithTable.of` reduces a complex's maps top-down and clears, the way
 persistent homology codes do (Chen and Kerber, "Persistent homology
@@ -76,24 +71,27 @@ TRIVIAL_GROUP = GroupPresentation()
 
 class SmithNormalForm(NamedTuple):
     diagonal: tuple[int, ...]
-    left: IntMatrix | None
-    right: IntMatrix | None
+    lows: set[int]
 
 
-def _unit_pivots(matrix: IntMatrix) -> tuple[set[int], IntMatrix]:
-    """Reduce the columns by their lowest entries; return the +-1 lows and the leftover block.
+def smith_normal_form(matrix: IntMatrix) -> SmithNormalForm:
+    """The Smith diagonal of an integer matrix, and the rows of its +-1 lows.
 
-    Left to right, a column subtracts the earlier reduced column with the
-    same lowest row, whose entry there is +-1, until its lowest row is new
-    (Zomorodian and Carlsson, "Computing persistent homology", 2005).  A +-1
-    there makes that row a pivot row; any other entry sets the column aside.
-    Pivot rows against their columns form a triangular block with +-1 on
-    its diagonal, so the matrix is equivalent to that many 1s beside the
-    set-aside columns reduced off every pivot row, highest row first, and
-    restricted to the rows where they still have entries.
+    The diagonal is positive, each entry divides the next, and its length
+    is the rank.  Left to right, a column subtracts the earlier reduced
+    column with the same lowest row, whose entry there is +-1, until its
+    lowest row is new (Zomorodian and Carlsson, "Computing persistent
+    homology", 2005).  A +-1 there is a low and a 1 on the diagonal; any
+    other entry sets the column aside.  Lows against their columns form a
+    triangular block with +-1 on its diagonal, so `_diagonalize` finishes
+    only the set-aside columns, reduced off every low, highest first, and
+    restricted to the rows where they still have entries: a block that is
+    empty unless there is torsion.  All arithmetic is exact.
 
-    >>> _unit_pivots(IntMatrix.from_rows([[1, 0], [1, 1], [0, 2]]))
-    ({1}, IntMatrix(rows=2, cols=1, columns=(((0, -1), (1, 2)),)))
+    >>> smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).diagonal
+    (1, 6)
+    >>> smith_normal_form(IntMatrix.from_rows([[1, 1], [1, 1], [1, -1]]))
+    SmithNormalForm(diagonal=(1, 2), lows={2})
     """
     reduced: dict[int, dict[int, int]] = {}
     aside = []
@@ -120,44 +118,25 @@ def _unit_pivots(matrix: IntMatrix) -> tuple[set[int], IntMatrix]:
         for column in aside:
             if p in column:
                 clear(column, p)
-    rows = {i: new for new, i in enumerate(sorted({i for column in aside for i in column}))}
-    block = [[(rows[i], x) for i, x in column.items()] for column in aside]
-    return set(reduced), IntMatrix.from_columns(len(rows), len(block), block)
+    rows = sorted({i for column in aside for i in column})
+    block = [[column.get(i, 0) for column in aside] for i in rows]
+    return SmithNormalForm((1,) * len(reduced) + _diagonalize(block, len(rows), len(aside)), set(reduced))
 
 
-def smith_normal_form(matrix: IntMatrix, want_transforms: bool = False) -> SmithNormalForm:
-    """Diagonalize an integer matrix by unimodular row and column operations.
+def _diagonalize(a: list[list[int]], m: int, n: int) -> tuple[int, ...]:
+    """Bring the top-left m x n block of the dense rows a to Smith form in place; return its diagonal.
 
-    The diagonal entries are positive and each divides the next; their
-    number is the rank.  With want_transforms, unimodular matrices U and V
-    are returned with U * matrix * V equal to the diagonal form exactly.
-
-    One loop runs on one dense working matrix (Cohen, "A Course in
-    Computational Algebraic Number Theory", 1993, section 2.4).  Each pass
-    moves the nonzero entry of smallest absolute value in the unfinished
-    block to the corner, ties broken by row then column, and reduces the
-    corner's column, then its row, by it.  A nonzero remainder, at most half
-    the pivot, makes the loop scan again.  So does an entry below and right
-    of the corner that the pivot does not divide: its row is added to the
-    pivot row, whose reduction then leaves a remainder.  With
-    want_transforms the loop runs on [[A, I], [I, 0]] with its pivots in A,
-    so its row operations write U beside A and its column operations write
-    V below it.  All arithmetic is exact.
-
-    `SmithTable.of` hands it only the block its low-pivot reduction leaves.
-
-    >>> smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).diagonal
-    (1, 6)
-    >>> smith_normal_form(IntMatrix.identity(3)).diagonal
-    (1, 1, 1)
-    >>> smith_normal_form(IntMatrix.from_rows([[-1], [-1]])).diagonal
-    (1,)
+    One loop (Cohen, "A Course in Computational Algebraic Number Theory",
+    1993, section 2.4).  Each pass moves the nonzero entry of smallest
+    absolute value in the unfinished block to the corner, ties broken by
+    row then column, and reduces the corner's column, then its row, by it.
+    A nonzero remainder, at most half the pivot, makes the loop scan again.
+    So does an entry below and right of the corner that the pivot does not
+    divide: its row is added to the pivot row, whose reduction then leaves
+    a remainder.  Pivots come only from the block, but every row and column
+    operation runs on all of a, so rows and columns beyond the block record
+    them (the tests' transform oracle reads U and V there).
     """
-    m, n = matrix.rows, matrix.cols
-    a = matrix.to_lists()
-    if want_transforms:
-        a = [row + unit for row, unit in zip(a, IntMatrix.identity(m).to_lists())]
-        a += [unit + [0] * m for unit in IntMatrix.identity(n).to_lists()]
     t = 0
     while t < min(m, n):
         # The smallest absolute value in the block, at its first row, then column.
@@ -193,15 +172,7 @@ def smith_normal_form(matrix: IntMatrix, want_transforms: bool = False) -> Smith
             a[t] = [x + y for x, y in zip(top, a[bad])]
             continue
         t += 1
-
-    diagonal = tuple(a[i][i] for i in range(t))
-    if not want_transforms:
-        return SmithNormalForm(diagonal, None, None)
-    left = IntMatrix.from_rows([row[n:] for row in a[:m]], cols=m)
-    right = IntMatrix.from_rows([row[:n] for row in a[m:]], cols=n)
-    smith = IntMatrix.from_columns(m, n, [[(j, d)] for j, d in enumerate(diagonal)] + [[]] * (n - t))
-    assert left.mul(matrix).mul(right) == smith
-    return SmithNormalForm(diagonal, left, right)
+    return tuple(a[i][i] for i in range(t))
 
 
 def rational_rank(matrix: IntMatrix) -> int:
@@ -258,9 +229,9 @@ class SmithTable(NamedTuple):
         a sequence of unimodular column operations followed by dropping a
         zero column, so maps[k] without the columns of all of maps[k+1]'s
         +-1 lows has the same Smith diagonal as maps[k], and the reduction
-        and the dense elimination run on that narrower matrix.  Every map,
-        the bottom one included, is reduced by its lows, and
-        `smith_normal_form` reduces what is left.
+        and the dense elimination run on that narrower matrix.  Each map, the
+        bottom one included, goes through `smith_normal_form` once, and its
+        lows are the columns cleared from the map below.
 
         The Z/2 projective plane (two vertices, three edges, two faces):
 
@@ -278,8 +249,8 @@ class SmithTable(NamedTuple):
             if cleared:
                 kept = tuple(column for j, column in enumerate(m.columns) if j not in cleared)
                 m = IntMatrix(m.rows, len(kept), kept)
-            cleared, m = _unit_pivots(m)
-            diagonals.append((1,) * len(cleared) + smith_normal_form(m).diagonal)
+            diagonal, cleared = smith_normal_form(m)
+            diagonals.append(diagonal)
         return cls(complex_.direction, tuple(len(faces) for faces in complex_.basis), tuple(reversed(diagonals)))
 
     def group(self, k: int, outgoing: bool = True, incoming: bool = True) -> GroupPresentation:

@@ -12,13 +12,14 @@ lists, and it is zero when they are equal as sorted lists, as in d*d = 0.
 Every other product column is summed exactly.
 
 `IntMatrix(rows, cols, columns)` takes the stored form as it is and checks
-nothing: its caller, here or in `complexes` and `homology`, guarantees
+nothing: its caller, here, in `complexes` or in `homology`, guarantees
 that every column is a tuple of (row, value) pairs sorted by row, every
-row is in range, and no value is zero.  `from_columns` accepts pairs in
-any order, adds up repeated rows and drops zeros; `from_rows` takes dense
-rows.  `from_rows`, `entries` and `to_lists` are the only dense views;
-they serve the test oracles, `rational_rank` among them, and `to_lists`
-and `from_rows` also carry the dense `homology.smith_normal_form`.
+row is in range, and no value is zero.  `from_rows`, `entries` and
+`to_lists` are the only dense views, and no command calls them:
+`from_rows` writes doctests and test matrices, `entries` (rows of
+`to_lists`) feeds `rational_rank`, perfbench's tracer and the tests, and
+`to_lists` the tests' dense oracles.  `homology.smith_normal_form` writes
+its leftover block into dense rows itself.
 """
 
 from __future__ import annotations
@@ -30,25 +31,6 @@ class IntMatrix(NamedTuple):
     rows: int
     cols: int
     columns: tuple[tuple[tuple[int, int], ...], ...]
-
-    @classmethod
-    def from_columns(cls, rows: int, cols: int, columns: Iterable[Iterable[tuple[int, int]]]) -> "IntMatrix":
-        """Sparse constructor: column j lists (row, value) pairs.
-
-        Pairs in one column may come in any order; values at a repeated row
-        add up and zero results are dropped.
-        """
-        data = []
-        for column in columns:
-            total: dict[int, int] = {}
-            for i, x in column:
-                if not 0 <= i < rows:
-                    raise ValueError(f"row index {i} outside a matrix with {rows} rows")
-                total[i] = total.get(i, 0) + int(x)
-            data.append(tuple(sorted((i, x) for i, x in total.items() if x)))
-        if len(data) != cols:
-            raise ValueError(f"expected {cols} columns, got {len(data)}")
-        return cls(rows, cols, tuple(data))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "IntMatrix":
@@ -64,10 +46,6 @@ class IntMatrix(NamedTuple):
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, ((),) * cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(((j, 1),) for j in range(n)))
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:

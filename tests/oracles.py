@@ -2,21 +2,22 @@
 
 Each computes from first principles something the program derives on its
 own route (the relation as pairs, closures, subcomplex inclusion, Euler
-characteristics, face labels and the `finsplice-complex/1` form, dense
-products, per-map dense Smith diagonals, the large-length limits of a
-splice), so the tests can set the two against each other.  `all_match`
-reads a comparison report for the tests that expect every degree to match.
+characteristics, face labels and the `finsplice-complex/1` form, summed
+sparse columns, dense products, whole-matrix Smith forms with their
+transforms, the large-length limits of a splice), so the tests can set
+the two against each other.  `all_match` reads a comparison report for
+the tests that expect every degree to match.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from finsplice import ChainComplex, ComparisonReport, FiniteSpace, Preorder, SimplicialComplex, all_groups
-from finsplice import smith_normal_form
+from finsplice import ChainComplex, ComparisonReport, FiniteSpace, IntMatrix, Preorder, SimplicialComplex, all_groups
 from finsplice import splice, splice_negative, spliced_cohomology
 from finsplice.cli import escape_names
 from finsplice.complexes import COHOMOLOGICAL
+from finsplice.homology import _diagonalize
 from finsplice.splice import MATCH
 
 COMPLEX_FORMAT = "finsplice-complex/1"
@@ -88,9 +89,46 @@ def naive_product(a: list[list[int]], b: list[list[int]], inner: int, cols: int)
     return [[sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)] for row in a]
 
 
+def from_columns(rows: int, cols: int, columns: Iterable[Iterable[tuple[int, int]]]) -> IntMatrix:
+    """Column j lists (row, value) pairs in any order; values at a repeated row add up, zeros drop."""
+    data = []
+    for column in columns:
+        total: dict[int, int] = {}
+        for i, x in column:
+            if not 0 <= i < rows:
+                raise ValueError(f"row index {i} outside a matrix with {rows} rows")
+            total[i] = total.get(i, 0) + int(x)
+        data.append(tuple(sorted((i, x) for i, x in total.items() if x)))
+    if len(data) != cols:
+        raise ValueError(f"expected {cols} columns, got {len(data)}")
+    return IntMatrix(rows, cols, tuple(data))
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix(n, n, tuple(((j, 1),) for j in range(n)))
+
+
+def smith_transforms(matrix: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, IntMatrix]:
+    """The diagonal D of the whole dense matrix A, with unimodular U and V such that U A V = D.
+
+    `homology._diagonalize` runs on [[A, I], [I, 0]] with its pivots in A,
+    so its row operations write U beside A and its column operations write
+    V below it.  No low reduction runs first.
+    """
+    m, n = matrix.rows, matrix.cols
+    a = [row + unit for row, unit in zip(matrix.to_lists(), identity(m).to_lists())]
+    a += [unit + [0] * m for unit in identity(n).to_lists()]
+    diagonal = _diagonalize(a, m, n)
+    left = IntMatrix.from_rows([row[n:] for row in a[:m]], cols=m)
+    right = IntMatrix.from_rows([row[:n] for row in a[m:]], cols=n)
+    smith = from_columns(m, n, [[(j, d)] for j, d in enumerate(diagonal)] + [[]] * (n - len(diagonal)))
+    assert left.mul(matrix).mul(right) == smith
+    return diagonal, left, right
+
+
 def dense_diagonals(complex_: ChainComplex) -> tuple[tuple[int, ...], ...]:
     """The whole-matrix dense Smith diagonal of each map on its own, in any layout."""
-    return tuple(smith_normal_form(m, want_transforms=True).diagonal for m in complex_.maps)
+    return tuple(smith_transforms(m)[0] for m in complex_.maps)
 
 
 def all_match(report: ComparisonReport) -> bool:

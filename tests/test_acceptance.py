@@ -27,13 +27,12 @@ from finsplice import (
     is_poset,
     order_complex,
     rational_rank,
-    smith_normal_form,
     specialisation_preorder,
     splice,
     spliced_cohomology,
     theorem_claimed_groups,
 )
-from oracles import all_match, is_leq, is_subcomplex, limit_check
+from oracles import all_match, is_leq, is_subcomplex, limit_check, smith_transforms
 
 Z = GroupPresentation(1)
 Z2 = GroupPresentation(2)
@@ -108,7 +107,7 @@ def test_criterion_3_homology_oracles():
     # Transform exactness on every differential involved.
     for cc in (circle, dup.ambient_chain, dup.relative_cochain):
         for m in cc.maps:
-            diagonal, left, right = smith_normal_form(m, want_transforms=True)
+            diagonal, left, right = smith_transforms(m)
             smith = IntMatrix.zeros(m.rows, m.cols).to_lists()
             for i, d in enumerate(diagonal):
                 smith[i][i] = d

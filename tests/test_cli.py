@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finsplice
-from finsplice import POSET_WARNING, cli, from_preorder, preorder_from_relation, random_space
+from finsplice import POSET_WARNING, build_pipeline, cli, from_preorder, preorder_from_relation, random_space
+from finsplice import smith_normal_form
 from finsplice.cli import main
-from finsplice.io import space_to_dict
+from finsplice.io import space_from_dict, space_to_dict
+from oracles import dense_diagonals
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -218,47 +220,95 @@ def _write(path, document):
 
 # The 6-vertex real projective plane.  Its face poset (31 points, x <= y when
 # face x lies in face y) has the barycentric subdivision as order complex, so
-# H = (Z, Z/2, 0) and, by universal coefficients, H^* = (Z, 0, Z/2).  A twin
-# of the edge 12 has as strict-order star the cone over the link of 12, the
-# 4-cycle 1, 123, 2, 126: the ambient is the plane with a disc glued along a
-# circle, so the relative cohomology is that of (disc, circle), (0, 0, Z).  The
-# length-3 splice reads degrees 0-2 from the poset cochain (kernel Z, H^1 = 0,
-# cokernel H^2 = Z/2) and degrees 3-5 from the relative one (kernel 0, 0, Z).
+# H = (Z, Z/2, 0) and, by universal coefficients, H^* = (Z, 0, Z/2).  The
+# relative groups follow H_k(amb, poset) = sum over complementary F of
+# H~_{k-|F|}(lk F), with lk F the strict-order link of F in the ambient.
+#   12-doubled: a twin of the edge 12 has as link the 4-cycle 1, 123, 2, 126,
+#   so H_2(amb, poset) = H~_1(circle) = Z: relative homology (0, 0, Z) and
+#   cohomology (0, 0, Z).
+#   cone-doubled: a point o below every face and its twin o'.  The poset part
+#   is the cone from o, so its groups are (Z, 0, 0, 0); the link of o' is the
+#   whole subdivided plane, so H_k(amb, poset) = H~_{k-1}(RP2) = (0, 0, Z/2, 0)
+#   and, by universal coefficients, relative cohomology (0, 0, 0, Z/2).
+# The length-3 splice reads degrees 0-2 from the poset cochain (kernel H^0,
+# H^1, then the cokernel C^2 / B^2, which is H^2 when degree 2 is the top) and
+# degrees 3-5 from the relative one the same way.  In the cone the cokernel
+# C^2 / B^2 = C^2 / Z^2 (H^2 = 0) is free of rank rank(d^2) = 60, the 60 flags
+# vertex < edge < triangle that span degree 3 (H^3 = 0 in the poset part, Z/2
+# relatively), on both sides.
 RP2_TRIANGLES = ("123", "126", "134", "145", "156", "235", "245", "246", "346", "356")
 RP2_GROUPS = {
     "homology": ["Z", "Z/2", "0"],
     "cohomology": ["Z", "0", "Z/2"],
+    "relative-homology": [],
     "relative-cohomology": [],
     "spliced": ["Z", "0", "Z/2", "0", "0", "0"],
 }
-RP2_DOUBLED_GROUPS = {**RP2_GROUPS, "relative-cohomology": ["0", "0", "Z"], "spliced": ["Z", "0", "Z/2", "0", "0", "Z"]}
+RP2_VARIANTS = {
+    "plain": (31, RP2_GROUPS),
+    "12-doubled": (
+        32,
+        {
+            **RP2_GROUPS,
+            "relative-homology": ["0", "0", "Z"],
+            "relative-cohomology": ["0", "0", "Z"],
+            "spliced": ["Z", "0", "Z/2", "0", "0", "Z"],
+        },
+    ),
+    "cone-doubled": (
+        33,
+        {
+            "homology": ["Z", "0", "0", "0"],
+            "cohomology": ["Z", "0", "0", "0"],
+            "relative-homology": ["0", "0", "Z/2", "0"],
+            "relative-cohomology": ["0", "0", "0", "Z/2"],
+            "spliced": ["Z", "0", "Z^60", "0", "0", "Z^60"],
+        },
+    ),
+}
 RP2_COMMANDS = {
     "homology": ["homology"],
     "cohomology": ["homology", "--theory", "cohomology"],
+    "relative-homology": ["homology", "--complex", "relative"],
     "relative-cohomology": ["homology", "--complex", "relative", "--theory", "cohomology"],
     "spliced": ["spliced", "--length", "3", "--max-degree", "5"],
 }
 
 
-def _rp2_face_poset(doubled):
+def _rp2_face_poset(variant):
     points = sorted({"".join(face) for t in RP2_TRIANGLES for k in (1, 2, 3) for face in itertools.combinations(t, k)})
     leq = [[x, y] for x in points for y in points if x != y and set(x) <= set(y)]
-    if doubled:
+    if variant == "12-doubled":
         points.append("12'")
         leq += [["12", "12'"], ["12'", "12"]]
+    elif variant == "cone-doubled":
+        leq += [[o, face] for o in ("o", "o'") for face in points] + [["o", "o'"], ["o'", "o"]]
+        points += ["o", "o'"]
     return {"points": points, "leq": leq}
 
 
-@pytest.mark.parametrize("doubled", [False, True], ids=["plain", "12-doubled"])
+@pytest.mark.parametrize("variant", list(RP2_VARIANTS))
 @pytest.mark.parametrize("report", sorted(RP2_COMMANDS))
-def test_projective_plane_torsion_reaches_the_report(capsys, tmp_path, doubled, report):
-    path = _write(tmp_path / "rp2.json", _rp2_face_poset(doubled))
+def test_projective_plane_torsion_reaches_the_report(capsys, tmp_path, variant, report):
+    path = _write(tmp_path / "rp2.json", _rp2_face_poset(variant))
     code, out, _ = run(capsys, *RP2_COMMANDS[report], "--input", path, "--format", "json")
     assert code == 0
     document = json.loads(out)
-    assert document["space"]["point_count"] == 31 + doubled
-    expected = (RP2_DOUBLED_GROUPS if doubled else RP2_GROUPS)[report]
-    assert [g["pretty"] for g in document["groups"]] == expected
+    point_count, groups = RP2_VARIANTS[variant]
+    assert document["space"]["point_count"] == point_count
+    assert [g["pretty"] for g in document["groups"]] == groups[report]
+
+
+def test_projective_plane_cone_relative_torsion_matches_the_dense_oracle():
+    # Of the space files the tests run, only the cone variant has relative
+    # torsion, so its relative maps leave a block for the dense finish.
+    data = build_pipeline(space_from_dict(_rp2_face_poset("cone-doubled")))
+    relative = data.relative_chain
+    assert relative.smith.diagonals == dense_diagonals(relative)
+    diagonal, lows = smith_normal_form(relative.maps[2])
+    assert diagonal == relative.smith.diagonals[2]
+    assert diagonal[-1] == 2
+    assert len(lows) < len(diagonal)
 
 
 COMMA_POINTS = ["a", "b,c", "a,b", "c"]

