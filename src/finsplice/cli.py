@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success (a formula mismatch is a finding, not a failure),
-2 input errors (unreadable or invalid space files), 3 usage errors
-(bad flags, unknown fixtures, zero length), 4 internal errors (any other
-exception, reported as one line on stderr instead of a traceback).
+2 input errors (unreadable or invalid space files, and a `fixtures export`
+path that cannot be written), 3 usage errors (bad flags, unknown fixtures,
+zero length), 4 internal errors (any other exception, reported as one
+line on stderr instead of a traceback).
 
 The argument parser is built once per process, on the first `main` call,
 and shared by every later call; each call parses into a fresh namespace,
@@ -227,8 +228,7 @@ def cmd_spliced(args, parser: _Parser) -> int:
     }
     comparison = None
     if args.verify_theorem:
-        claimed = theorem_claimed_groups(*data.sources, p_max=args.max_degree // 6)
-        comparison = compare(direct, claimed, range(args.max_degree + 1))
+        comparison = compare(direct, theorem_claimed_groups(*data.sources, args.max_degree))
         report["theorem"] = comparison.as_dict()
     if args.format == "json":
         sys.stdout.write(dumps(report))
@@ -243,8 +243,7 @@ def cmd_spliced(args, parser: _Parser) -> int:
         lines.append("")
         lines.append(f"degree  {'direct':<{width}}  claimed     verdict")
         for row in comparison.rows:
-            claimed_text = "(uncovered)" if row.claimed is None else str(row.claimed)
-            lines.append(f"{row.degree:>6}  {str(row.direct):<{width}}  {claimed_text:<10}  {row.verdict}")
+            lines.append(f"{row.degree:>6}  {str(row.direct):<{width}}  {str(row.claimed):<10}  {row.verdict}")
         lines.append(f"summary: {comparison.summary()}")
     print("\n".join(lines))
     return 0

@@ -57,15 +57,6 @@ class SimplicialComplex(NamedTuple):
     vertices: tuple[str, ...]
     faces_by_dim: tuple[tuple[tuple[str, ...], ...], ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.faces_by_dim) - 1
-
-    def faces(self, dim: int) -> tuple[tuple[str, ...], ...]:
-        if 0 <= dim < len(self.faces_by_dim):
-            return self.faces_by_dim[dim]
-        return ()
-
     def face_counts(self) -> tuple[int, ...]:
         return tuple(len(faces) for faces in self.faces_by_dim)
 

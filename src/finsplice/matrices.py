@@ -3,7 +3,7 @@
 Entries are Python ints, so there is no overflow and no dtype trap.  Each
 column keeps only its nonzero entries, as (row, value) pairs in ascending
 row order: a boundary map of an order complex has k+1 nonzeros per column,
-so products and transposes cost what the nonzeros cost, not rows x cols.
+so a product costs what the nonzeros cost, not rows x cols.
 Shapes are explicit even when a dimension is zero, which matters for the
 empty boundary maps at the ends of a chain complex.  `mul` splits each
 left column once into its +1 rows and its -1 rows; a product column whose
@@ -51,13 +51,6 @@ class IntMatrix(NamedTuple):
     def entries(self) -> tuple[tuple[int, ...], ...]:
         """The dense rows, as a hashable tuple of int tuples."""
         return tuple(map(tuple, self.to_lists()))
-
-    def transpose(self) -> "IntMatrix":
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(self.rows)]
-        for j, column in enumerate(self.columns):
-            for i, x in column:
-                rows[i].append((j, x))
-        return IntMatrix(self.cols, self.rows, tuple(map(tuple, rows)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         """The product.

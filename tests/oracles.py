@@ -3,14 +3,16 @@
 Each computes from first principles something the program derives on its
 own route (the relation as pairs, closures, subcomplex inclusion, Euler
 characteristics, face labels and the `finsplice-complex/1` form, summed
-sparse columns, dense products, whole-matrix Smith forms with their
-transforms, the large-length limits of a splice), so the tests can set
-the two against each other.  `all_match` reads a comparison report for
-the tests that expect every degree to match.
+sparse columns, transposes, dense products, whole-matrix Smith forms with
+their transforms, the large-length limits of a splice), so the tests can
+set the two against each other.  `all_match` reads a comparison report for
+the tests that expect every degree to match; `rp2_face_poset` writes the
+projective-plane space files whose groups carry torsion.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from finsplice import ChainComplex, ComparisonReport, FiniteSpace, IntMatrix, Preorder, SimplicialComplex, all_groups
@@ -53,11 +55,21 @@ def zero_complex(direction: str = COHOMOLOGICAL) -> ChainComplex:
     return ChainComplex(direction, (), ())
 
 
+def faces(complex_: SimplicialComplex, dim: int) -> tuple[tuple[str, ...], ...]:
+    """The faces of one dimension; none outside the complex's range."""
+    return complex_.faces_by_dim[dim] if 0 <= dim < len(complex_.faces_by_dim) else ()
+
+
+def dimension(complex_: SimplicialComplex) -> int:
+    """The largest face dimension; -1 for the empty complex."""
+    return len(complex_.faces_by_dim) - 1
+
+
 def is_subcomplex(candidate: SimplicialComplex, ambient: SimplicialComplex) -> bool:
     """True when every face of the candidate is a face of the ambient complex."""
-    for dim, faces in enumerate(candidate.faces_by_dim):
-        ambient_faces = set(ambient.faces(dim))
-        if any(face not in ambient_faces for face in faces):
+    for dim, candidate_faces in enumerate(candidate.faces_by_dim):
+        ambient_faces = set(faces(ambient, dim))
+        if any(face not in ambient_faces for face in candidate_faces):
             return False
     return True
 
@@ -75,13 +87,21 @@ def complex_to_dict(complex_: ChainComplex) -> dict:
     """
     maps = complex_.maps
     if complex_.direction == COHOMOLOGICAL:
-        maps = tuple(m.transpose() for m in maps)
+        maps = tuple(map(transpose, maps))
     return {
         "format": COMPLEX_FORMAT,
         "direction": complex_.direction,
         "basis": [[face_label(face) for face in faces] for faces in complex_.basis],
         "maps": [{"rows": m.rows, "cols": m.cols, "entries": m.to_lists()} for m in maps],
     }
+
+
+def transpose(matrix: IntMatrix) -> IntMatrix:
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(matrix.rows)]
+    for j, column in enumerate(matrix.columns):
+        for i, x in column:
+            rows[i].append((j, x))
+    return IntMatrix(matrix.cols, matrix.rows, tuple(map(tuple, rows)))
 
 
 def naive_product(a: list[list[int]], b: list[list[int]], inner: int, cols: int) -> list[list[int]]:
@@ -138,6 +158,27 @@ def all_match(report: ComparisonReport) -> bool:
 
 def euler_characteristic(complex_: SimplicialComplex) -> int:
     return sum((-1) ** k * len(faces) for k, faces in enumerate(complex_.faces_by_dim))
+
+
+# The 6-vertex real projective plane, as its ten triangles.
+RP2_TRIANGLES = ("123", "126", "134", "145", "156", "235", "245", "246", "346", "356")
+
+
+def rp2_face_poset(variant: str) -> dict:
+    """A `leq` space document: the face poset of the projective plane, x <= y when face x lies in face y.
+
+    "plain" is the 31 faces; "12-doubled" adds a twin of the edge 12;
+    "cone-doubled" adds a point o below every face and its twin o'.
+    """
+    points = sorted({"".join(face) for t in RP2_TRIANGLES for k in (1, 2, 3) for face in combinations(t, k)})
+    leq = [[x, y] for x in points for y in points if x != y and set(x) <= set(y)]
+    if variant == "12-doubled":
+        points.append("12'")
+        leq += [["12", "12'"], ["12'", "12"]]
+    elif variant == "cone-doubled":
+        leq += [[o, face] for o in ("o", "o'") for face in points] + [["o", "o'"], ["o'", "o"]]
+        points += ["o", "o'"]
+    return {"points": points, "leq": leq}
 
 
 class LengthTooSmall(ValueError):

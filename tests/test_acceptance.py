@@ -136,8 +136,7 @@ def test_criterion_4_spliced_validity(pipelines):
 def test_criterion_5_theorem_harness(pipelines):
     dup = build_pipeline(FIXTURES["PSEUDO_S1_DUP"])
     direct = spliced_cohomology(splice(dup.sources, 3), 5)
-    claimed = theorem_claimed_groups(*dup.sources, p_max=0)
-    comparison = compare(direct, claimed, range(6))
+    comparison = compare(direct, theorem_claimed_groups(*dup.sources, 5))
     verdicts = {row.degree: row.verdict for row in comparison.rows}
     clause1 = (
         direct == (Z, Z, TRIVIAL, TRIVIAL, Z, TRIVIAL)
@@ -151,8 +150,7 @@ def test_criterion_5_theorem_harness(pipelines):
     ] + [build_pipeline(FIXTURES["SIERP"]), build_pipeline(FIXTURES["PSEUDO_S1"])]
     for data in poset_inputs:
         direct_p = spliced_cohomology(splice(data.sources, 3), 5)
-        claimed_p = theorem_claimed_groups(*data.sources, p_max=0)
-        report_p = compare(direct_p, claimed_p, range(6))
+        report_p = compare(direct_p, theorem_claimed_groups(*data.sources, 5))
         if not all_match(report_p):
             rows = [
                 (row.degree, str(row.direct), str(row.claimed))
@@ -230,8 +228,8 @@ def test_criterion_7_determinism_and_policy(corpus):
         for policy in ("least", "greatest"):
             data = build_pipeline(space, policy=policy)
             direct = spliced_cohomology(splice(data.sources, 3), 5)
-            claimed = theorem_claimed_groups(*data.sources, p_max=0)
-            verdict_lists.append([r.verdict for r in compare(direct, claimed, range(6)).rows])
+            claimed = theorem_claimed_groups(*data.sources, 5)
+            verdict_lists.append([r.verdict for r in compare(direct, claimed).rows])
         if verdict_lists[0] != verdict_lists[1]:
             policy_invariant = False
 

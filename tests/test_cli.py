@@ -1,7 +1,6 @@
 import contextlib
 import importlib.util
 import io
-import itertools
 import json
 import os
 import subprocess
@@ -17,7 +16,7 @@ from finsplice import POSET_WARNING, build_pipeline, cli, from_preorder, preorde
 from finsplice import smith_normal_form
 from finsplice.cli import main
 from finsplice.io import space_from_dict, space_to_dict
-from oracles import dense_diagonals
+from oracles import dense_diagonals, rp2_face_poset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -195,6 +194,13 @@ def test_export_then_input_matches_fixture(capsys, tmp_path):
     assert from_file == from_fixture
 
 
+def test_export_to_an_unwritable_path_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "sierp.json"
+    code, out, err = run(capsys, "fixtures", "export", "SIERP", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"finsplice: input error: [Errno 2] No such file or directory: '{path}'\n"
+
+
 def test_random_is_reproducible(capsys):
     code, first, _ = run(capsys, "decompose", "--random", "6", "--seed", "11", "--format", "json")
     assert code == 0
@@ -218,11 +224,12 @@ def _write(path, document):
     return str(path)
 
 
-# The 6-vertex real projective plane.  Its face poset (31 points, x <= y when
-# face x lies in face y) has the barycentric subdivision as order complex, so
-# H = (Z, Z/2, 0) and, by universal coefficients, H^* = (Z, 0, Z/2).  The
-# relative groups follow H_k(amb, poset) = sum over complementary F of
-# H~_{k-|F|}(lk F), with lk F the strict-order link of F in the ambient.
+# The 6-vertex real projective plane (`oracles.rp2_face_poset`).  Its face
+# poset (31 points, x <= y when face x lies in face y) has the barycentric
+# subdivision as order complex, so H = (Z, Z/2, 0) and, by universal
+# coefficients, H^* = (Z, 0, Z/2).  The relative groups follow
+# H_k(amb, poset) = sum over complementary F of H~_{k-|F|}(lk F), with lk F
+# the strict-order link of F in the ambient.
 #   12-doubled: a twin of the edge 12 has as link the 4-cycle 1, 123, 2, 126,
 #   so H_2(amb, poset) = H~_1(circle) = Z: relative homology (0, 0, Z) and
 #   cohomology (0, 0, Z).
@@ -236,7 +243,6 @@ def _write(path, document):
 # C^2 / B^2 = C^2 / Z^2 (H^2 = 0) is free of rank rank(d^2) = 60, the 60 flags
 # vertex < edge < triangle that span degree 3 (H^3 = 0 in the poset part, Z/2
 # relatively), on both sides.
-RP2_TRIANGLES = ("123", "126", "134", "145", "156", "235", "245", "246", "346", "356")
 RP2_GROUPS = {
     "homology": ["Z", "Z/2", "0"],
     "cohomology": ["Z", "0", "Z/2"],
@@ -275,22 +281,10 @@ RP2_COMMANDS = {
 }
 
 
-def _rp2_face_poset(variant):
-    points = sorted({"".join(face) for t in RP2_TRIANGLES for k in (1, 2, 3) for face in itertools.combinations(t, k)})
-    leq = [[x, y] for x in points for y in points if x != y and set(x) <= set(y)]
-    if variant == "12-doubled":
-        points.append("12'")
-        leq += [["12", "12'"], ["12'", "12"]]
-    elif variant == "cone-doubled":
-        leq += [[o, face] for o in ("o", "o'") for face in points] + [["o", "o'"], ["o'", "o"]]
-        points += ["o", "o'"]
-    return {"points": points, "leq": leq}
-
-
 @pytest.mark.parametrize("variant", list(RP2_VARIANTS))
 @pytest.mark.parametrize("report", sorted(RP2_COMMANDS))
 def test_projective_plane_torsion_reaches_the_report(capsys, tmp_path, variant, report):
-    path = _write(tmp_path / "rp2.json", _rp2_face_poset(variant))
+    path = _write(tmp_path / "rp2.json", rp2_face_poset(variant))
     code, out, _ = run(capsys, *RP2_COMMANDS[report], "--input", path, "--format", "json")
     assert code == 0
     document = json.loads(out)
@@ -302,7 +296,7 @@ def test_projective_plane_torsion_reaches_the_report(capsys, tmp_path, variant, 
 def test_projective_plane_cone_relative_torsion_matches_the_dense_oracle():
     # Of the space files the tests run, only the cone variant has relative
     # torsion, so its relative maps leave a block for the dense finish.
-    data = build_pipeline(space_from_dict(_rp2_face_poset("cone-doubled")))
+    data = build_pipeline(space_from_dict(rp2_face_poset("cone-doubled")))
     relative = data.relative_chain
     assert relative.smith.diagonals == dense_diagonals(relative)
     diagonal, lows = smith_normal_form(relative.maps[2])
@@ -507,6 +501,14 @@ def test_cli_import_loads_no_library_a_command_does_not_need():
     assert _loaded_by_cli_import({"dataclasses", "inspect", "fractions", "decimal", "string"}) == "[]\n"
 
 
+def _benchmark_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_every_name_the_benchmark_tracer_wraps_exists():
     """perfbench's traced run wraps program functions by (owner, attribute) and skips missing ones.
 
@@ -514,13 +516,35 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
     `complexes.strictify`, `pipeline.specialisation_preorder`, ...) would only
     thin out the traced spans, so the bindings are checked here.
     """
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    bindings = tracing.Instrumentation(finsplice).bindings()
+    bindings = _benchmark_tracing().Instrumentation(finsplice).bindings()
     assert bindings
     assert [f"{owner.__name__}.{attr}" for owner, attr, *_ in bindings if not hasattr(owner, attr)] == []
+
+
+def test_the_benchmark_tracer_hooks_read_what_the_program_has(capsys):
+    """The tracer's hooks read `spliced.assembled`, `spliced.length` and `ambient_complex.face_counts()`.
+
+    A traced run of each command gives the untraced bytes, binds every
+    name, and counts the zero maps, the map nonzeros and the Smith calls.
+    """
+    commands = [
+        ("spliced", "--length", "-3", "--verify-theorem"),
+        ("homology", "--theory", "cohomology"),
+        ("decompose",),
+    ]
+    instrumentation = _benchmark_tracing().Instrumentation(finsplice)
+    for command in commands:
+        argv = (*command, "--fixture", "PSEUDO_S1_DUP", "--format", "json")
+        untraced = run(capsys, *argv)
+        with instrumentation.instrumented():
+            traced = run(capsys, *argv)
+        assert traced == untraced
+        assert untraced[0] == 0
+        assert instrumentation.missing == []
+    counts = instrumentation.tracer.counts
+    assert counts["splice.zero_maps"] > 0
+    assert counts["complexes.map_nnz"] > 0
+    assert counts["homology.snf_calls"] > 0
 
 
 @pytest.mark.parametrize(
@@ -531,6 +555,10 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
         (
             "spliced", "--fixture", "PSEUDO_S1_DUP", "--length", "3",
             "--max-degree", "5", "--verify-theorem", "--format", "json",
+        ),
+        (
+            "spliced", "--fixture", "PSEUDO_S1_DUP", "--length", "-3",
+            "--max-degree", "13", "--verify-theorem", "--format", "json",
         ),
     ],
 )

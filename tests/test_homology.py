@@ -3,6 +3,8 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from finsplice import (
     FIXTURES,
@@ -25,7 +27,8 @@ from finsplice import (
 from finsplice import homology
 from finsplice.complexes import HOMOLOGICAL
 from finsplice.homology import SmithTable
-from oracles import dense_diagonals, from_columns, identity, smith_transforms
+from finsplice.io import space_from_dict
+from oracles import dense_diagonals, from_columns, identity, rp2_face_poset, smith_transforms, transpose
 from test_spaces import blown_up_fixtures
 from test_splice import kernel_cokernel_cochains
 
@@ -170,6 +173,35 @@ def test_snf_without_transforms_matches_oracles(m):
     diagonal = one_map_diagonal(m)
     assert diagonal == minors_invariant_factors(m)
     assert diagonal == smith_normal_form(m).diagonal == smith_transforms(m)[0]
+
+
+def sympy_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
+    """The nonzero invariant factors by sympy, which shares no code with the program's Smith routine."""
+    return tuple(int(d) for d in invariant_factors(Matrix(m.rows, m.cols, sum(m.to_lists(), [])), domain=ZZ) if d)
+
+
+small_integer_matrices = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-6, 6), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    ).map(lambda rows: IntMatrix.from_rows(rows, cols=shape[1]))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_integer_matrices)
+def test_snf_matches_sympy_invariant_factors(m):
+    assert smith_normal_form(m).diagonal == one_map_diagonal(m) == sympy_invariant_factors(m)
+
+
+@pytest.mark.parametrize("variant, which", [("plain", "poset_chain"), ("cone-doubled", "relative_chain")])
+def test_projective_plane_torsion_matches_sympy_invariant_factors(variant, which):
+    complex_ = getattr(build_pipeline(space_from_dict(rp2_face_poset(variant))), which)
+    expected = tuple(map(sympy_invariant_factors, complex_.maps))
+    assert 2 in expected[-1]
+    assert tuple(smith_normal_form(m).diagonal for m in complex_.maps) == expected
+    assert complex_.smith.diagonals == expected
 
 
 def _layered_with_twin():
@@ -389,6 +421,6 @@ def test_chain_and_cochain_smith_diagonals_agree(pipelines):
     for data in [build_pipeline(space) for space in FIXTURES.values()] + pipelines[:250] + blown_up:
         complexes += [data.poset_chain, data.ambient_chain, data.relative_chain]
     for cc in complexes:
-        transposed = tuple(smith_transforms(m.transpose())[0] for m in cc.maps)
+        transposed = tuple(smith_transforms(transpose(m))[0] for m in cc.maps)
         assert cochain(cc).smith.diagonals == transposed
     assert cochain(projective).smith.diagonals == ((1,), (1, 2))

@@ -17,7 +17,8 @@ from finsplice import (
     spliced_cohomology,
     theorem_claimed_groups,
 )
-from oracles import LengthTooSmall, all_match, limit_check, zero_complex
+from finsplice.io import space_from_dict
+from oracles import LengthTooSmall, all_match, limit_check, rp2_face_poset, zero_complex
 
 Z = GroupPresentation(1)
 TRIVIAL = GroupPresentation()
@@ -98,12 +99,12 @@ def test_zero_sources_spliced_cohomology():
 
 
 def test_dup_claimed_groups(dup_sources):
-    claimed = theorem_claimed_groups(*dup_sources, p_max=0)
-    assert [claimed[k] for k in range(6)] == [Z, TRIVIAL, TRIVIAL, TRIVIAL, TRIVIAL, TRIVIAL]
+    claimed = theorem_claimed_groups(*dup_sources, 5)
+    assert claimed == (Z, TRIVIAL, TRIVIAL, TRIVIAL, TRIVIAL, TRIVIAL)
 
 
 def test_poset_input_claimed_groups(sierp_sources):
-    claimed = theorem_claimed_groups(*sierp_sources, p_max=0)
+    claimed = theorem_claimed_groups(*sierp_sources, 5)
     assert claimed[0] == sierp_sources[0].smith.group(0)
     assert claimed[2] == TRIVIAL
     assert claimed[3] == TRIVIAL
@@ -111,9 +112,33 @@ def test_poset_input_claimed_groups(sierp_sources):
 
 
 def test_claimed_groups_beyond_top_degree_are_trivial(dup_sources):
-    claimed = theorem_claimed_groups(*dup_sources, p_max=2)
+    claimed = theorem_claimed_groups(*dup_sources, 17)
     assert claimed[11] == TRIVIAL  # kernel of a zero map out of a zero group
     assert claimed[17] == TRIVIAL
+
+
+def transcribed_claim(complex1, complex2, max_degree):
+    """The claimed groups at degrees 0..max_degree, as the six reads per p are stated."""
+    table1, table2 = complex1.smith, complex2.smith
+    claimed = []
+    for p in range(max_degree // 6 + 1):
+        claimed += [
+            table1.group(3 * p),
+            table1.group(3 * p + 2, outgoing=False),
+            table2.group(3 * p, incoming=False),
+            table2.group(3 * p),
+            table2.group(3 * p + 2, outgoing=False),
+            table1.group(3 * p + 3, incoming=False),
+        ]
+    return tuple(claimed[: max_degree + 1])
+
+
+def test_claim_table_transcribes_the_six_stated_reads(pipelines):
+    rp2 = [space_from_dict(rp2_face_poset(variant)) for variant in ("plain", "12-doubled", "cone-doubled")]
+    for data in [build_pipeline(space) for space in [*FIXTURES.values(), *rp2]] + pipelines[:100]:
+        for max_degree in range(24):
+            claimed = theorem_claimed_groups(*data.sources, max_degree)
+            assert claimed == transcribed_claim(*data.sources, max_degree), (data.space, max_degree)
 
 
 def kernel_cokernel_cochains():
@@ -129,18 +154,17 @@ def test_claimed_groups_are_kernels_and_cokernels_where_stated():
     # At degree 2 the group is Z/2 but the cokernel Z + Z/2; at degree 3 the
     # group is 0 but the kernel Z.
     cc = kernel_cokernel_cochains()
-    claimed = theorem_claimed_groups(cc, cc, p_max=1)
+    claimed = theorem_claimed_groups(cc, cc, 11)
     z_plus_z2 = GroupPresentation(1, (2,))
-    assert [claimed[k] for k in range(12)] == [
+    assert claimed == (
         Z, z_plus_z2, Z, Z, z_plus_z2, Z, TRIVIAL, TRIVIAL, Z, TRIVIAL, TRIVIAL, TRIVIAL,
-    ]
+    )
 
 
 def test_dup_comparison(dup_sources):
     spliced = splice(dup_sources, 3)
     direct = spliced_cohomology(spliced, 5)
-    claimed = theorem_claimed_groups(*dup_sources, p_max=0)
-    report = compare(direct, claimed, range(6))
+    report = compare(direct, theorem_claimed_groups(*dup_sources, 5))
     verdicts = {row.degree: row.verdict for row in report.rows}
     assert verdicts == {0: "match", 1: "mismatch", 2: "match", 3: "match", 4: "mismatch", 5: "match"}
     assert report.summary() == "4 match / 2 mismatch / 0 uncovered"
@@ -150,21 +174,20 @@ def test_dup_comparison(dup_sources):
 
 def test_poset_input_comparison_matches(sierp_sources):
     direct = spliced_cohomology(splice(sierp_sources, 3), 5)
-    report = compare(direct, theorem_claimed_groups(*sierp_sources, p_max=0), range(6))
+    report = compare(direct, theorem_claimed_groups(*sierp_sources, 5))
     assert all_match(report)
 
 
 def test_empty_degree_range(dup_sources):
-    report = compare((), {}, ())
+    report = compare((), ())
     assert report.rows == ()
     assert report.summary() == "0 match / 0 mismatch / 0 uncovered"
 
 
-def test_uncovered_degrees(dup_sources):
+def test_compare_rejects_unaligned_groups(dup_sources):
     direct = spliced_cohomology(splice(dup_sources, 3), 7)
-    claimed = theorem_claimed_groups(*dup_sources, p_max=0)
-    report = compare(direct, {k: v for k, v in claimed.items() if k < 6}, range(8))
-    assert [row.verdict for row in report.rows[6:]] == ["uncovered", "uncovered"]
+    with pytest.raises(ValueError, match="8 direct groups against 6 claimed"):
+        compare(direct, theorem_claimed_groups(*dup_sources, 5))
 
 
 def test_limit_check_examples(dup_sources, sierp_sources):
@@ -200,19 +223,21 @@ def test_degree_layout_bijection(pipelines):
                 positions = [seen[(i, d)] for d in range(source.top_degree + 1)]
                 assert positions == sorted(positions)
                 assert len(set(positions)) == len(positions)
+            assembled = spliced.assembled
             for (i, degree), position in seen.items():
-                assert spliced.assembled.dim(position) == spliced.sources[i].dim(degree)
+                assert assembled.dim(position) == spliced.sources[i].dim(degree)
 
 
 def test_interior_degrees_agree_with_source(pipelines):
     for data in pipelines[:30]:
         spliced = splice(data.sources, 3)
+        table = spliced.assembled.smith
         for block in spliced.blocks:
             source = spliced.sources[block.source]
             for offset in range(1, block.span - 1):
                 spliced_degree = block.spliced_start + offset
                 source_degree = block.source_start + offset
-                assert spliced.assembled.smith.group(spliced_degree) == source.smith.group(
+                assert table.group(spliced_degree) == source.smith.group(
                     source_degree
                 )
 
@@ -223,14 +248,15 @@ def test_block_boundary_groups(pipelines):
             spliced = splice(data.sources, length)
             if len(set(b.source for b in spliced.blocks)) < 2:
                 continue
+            table = spliced.assembled.smith
             for block in spliced.blocks:
                 source = spliced.sources[block.source]
                 first = block.spliced_start
                 last = block.spliced_start + block.span - 1
-                assert spliced.assembled.smith.group(first) == source.smith.group(
+                assert table.group(first) == source.smith.group(
                     block.source_start, incoming=False
                 )
-                assert spliced.assembled.smith.group(last) == source.smith.group(
+                assert table.group(last) == source.smith.group(
                     block.source_start + block.span - 1, outgoing=False
                 )
 
@@ -242,8 +268,7 @@ def test_policy_swap_preserves_verdicts(corpus):
         for policy in ("least", "greatest"):
             data = build_pipeline(space, policy=policy)
             direct = spliced_cohomology(splice(data.sources, 3), 5)
-            claimed = theorem_claimed_groups(*data.sources, p_max=0)
-            reports.append(compare(direct, claimed, range(6)))
+            reports.append(compare(direct, theorem_claimed_groups(*data.sources, 5)))
         assert [r.verdict for r in reports[0].rows] == [r.verdict for r in reports[1].rows]
 
 
