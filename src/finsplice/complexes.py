@@ -118,8 +118,10 @@ class ChainComplex(Record):
     elements, faces for the complexes made here.  Built through
     `checked_complex`, its maps compose to zero and its top degree is
     nonempty.  `smith` assumes both the boundary layout and maps that
-    compose to zero: `SmithTable.of` deletes the columns of maps[k] that the
-    +-1 lows of maps[k+1] make boundaries.
+    compose to zero: `SmithTable.of` reduces the coboundaries, the
+    transposes of the maps, bottom-up, and deletes the columns of the
+    coboundary out of degree k that the +-1 lows of the one out of degree
+    k-1 make coboundaries.
     """
 
     __slots__ = ("direction", "basis", "maps", "__dict__")
@@ -147,7 +149,11 @@ class ChainComplex(Record):
 
     @cached_property
     def smith(self) -> SmithTable:
-        """Dimensions and Smith diagonals of the differentials, built on first use."""
+        """Dimensions and Smith diagonals of the differentials, built on first use.
+
+        Chain and cochain complexes alike go through `SmithTable.of`, which
+        reduces the transposed maps from degree 0 up.
+        """
         from .homology import SmithTable  # homology imports this module
 
         return SmithTable.of(self)
@@ -229,9 +235,10 @@ def cochain(chain: ChainComplex) -> ChainComplex:
     """The dual complex Hom(C, Z): the same bases and the very same maps, read transposed.
 
     The coboundary from degree k to k+1 is the transpose of the boundary
-    maps[k], and the two share one Smith diagonal, so the dual keeps the
-    boundary orientation that reduces cheaply.  The chain's maps compose to
-    zero, so the dual is wrapped without repeating that check.  The
+    maps[k], and the two share one Smith diagonal, so the dual's table is
+    the chain's: `SmithTable.of` reduces the coboundaries of either.  The
+    chain's maps compose to zero, so the dual is wrapped without repeating
+    that check.  The
     four-point circle has H^1 = Z:
 
     >>> from finsplice import PSEUDO_S1, build_pipeline

@@ -8,8 +8,8 @@ group: kernels, cokernels and kernel modulo image alike.
 Every complex holds its maps as boundaries, dim(i) x dim(i+1) (see
 `complexes`); a cochain complex shares its chain's maps and reads them
 transposed.  A matrix and its transpose have the same Smith diagonal, so
-a cochain's table is computed on the boundary matrices; the direction
-only tells `SmithTable.group` which map leaves a degree and which enters.
+chain and cochain tables are computed the same way; the direction only
+tells `SmithTable.group` which map leaves a degree and which enters.
 
 `smith_normal_form` is the one Smith routine: it reduces a column-sparse
 map by its lowest entries over Z, each +-1 low giving a 1 on the
@@ -19,13 +19,15 @@ workloads and not when there is torsion (the projective plane's face
 poset, say).  The tests' transform oracle runs the same loop on a matrix
 augmented by two identities and reads U and V off the margins.
 
-`SmithTable.of` reduces a complex's maps top-down and clears, the way
-persistent homology codes do (Chen and Kerber, "Persistent homology
-computation with a twist", EuroCG 2011; Bauer, Kerber and Reininghaus,
-"Clear and Compress", 2014).  A +-1 low p of maps[k+1] makes basis
-vector p of degree k+1, plus earlier ones, a boundary, so column p of
-maps[k] is deleted before maps[k] is reduced, and its Smith diagonal
-does not change.
+`SmithTable.of` reduces the coboundaries, the transposed maps, bottom-up
+and clears, the way cohomology codes do (de Silva, Morozov and
+Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse
+Problems 27, 2011; Bauer, "Ripser", J. Appl. Comput. Topol. 5, 2021).  A
++-1 low p of the coboundary out of degree k-1 makes column p of the
+coboundary out of degree k a combination of earlier columns, so that
+column is deleted before the reduction and the Smith diagonal does not
+change.  No top-degree face is ever a column, where a top-down pass over
+the boundaries reduces every top-degree cycle to zero column by column.
 """
 
 from __future__ import annotations
@@ -220,18 +222,21 @@ class SmithTable(NamedTuple):
     def of(cls, complex_: ChainComplex) -> SmithTable:
         """The table of a complex whose maps are boundaries that compose to zero.
 
-        The maps are reduced top-down with clearing (Chen and Kerber, EuroCG
-        2011; Bauer, Kerber and Reininghaus, "Clear and Compress", 2014).
-        Say a reduced column R of maps[k+1] has its low at p.  R is maps[k+1]
-        of an integer chain v, has +-1 at p and entries only above p.  As
-        maps[k] R = 0, column p of maps[k] is an integer combination of
-        earlier columns.  Deleting those columns from the highest p down is
-        a sequence of unimodular column operations followed by dropping a
-        zero column, so maps[k] without the columns of all of maps[k+1]'s
-        +-1 lows has the same Smith diagonal as maps[k], and the reduction
-        and the dense elimination run on that narrower matrix.  Each map, the
-        bottom one included, goes through `smith_normal_form` once, and its
-        lows are the columns cleared from the map below.
+        The coboundaries delta_k, the transposes of maps[k] with one column
+        per k-face, are reduced bottom-up with clearing (de Silva, Morozov
+        and Vejdemo-Johansson, Inverse Problems 27, 2011; Bauer, "Ripser",
+        2021).  Say a reduced column R of delta_(k-1) has its low at p.  R
+        is delta_(k-1) of an integer cochain v, has +-1 at p and entries
+        only above p.  As delta_k R = 0, column p of delta_k is an integer
+        combination of earlier columns.  Deleting those columns from the
+        highest p down is a sequence of unimodular column operations
+        followed by dropping a zero column, so delta_k without the columns
+        of all of delta_(k-1)'s +-1 lows has the same Smith diagonal as
+        delta_k, which is that of maps[k], and the reduction and the dense
+        elimination run on that narrower matrix.  Each map, the top one
+        included, goes through `smith_normal_form` once, and its lows are
+        the columns cleared from the map above.  Both directions take this
+        one route.
 
         The Z/2 projective plane (two vertices, three edges, two faces):
 
@@ -244,14 +249,16 @@ class SmithTable(NamedTuple):
         """
         diagonals = []
         cleared: set[int] = set()
-        for k in reversed(range(len(complex_.maps))):
-            m = complex_.maps[k]
-            if cleared:
-                kept = tuple(column for j, column in enumerate(m.columns) if j not in cleared)
-                m = IntMatrix(m.rows, len(kept), kept)
-            diagonal, cleared = smith_normal_form(m)
+        for m in complex_.maps:
+            # delta_k: column i lists the (k+1)-faces whose boundary holds k-face i.
+            coboundary: list[list[tuple[int, int]]] = [[] for _ in range(m.rows)]
+            for j, column in enumerate(m.columns):
+                for i, x in column:
+                    coboundary[i].append((j, x))
+            kept = tuple([tuple(column) for i, column in enumerate(coboundary) if i not in cleared])
+            diagonal, cleared = smith_normal_form(IntMatrix(m.cols, len(kept), kept))
             diagonals.append(diagonal)
-        return cls(complex_.direction, tuple(len(faces) for faces in complex_.basis), tuple(reversed(diagonals)))
+        return cls(complex_.direction, tuple(len(faces) for faces in complex_.basis), tuple(diagonals))
 
     def group(self, k: int, outgoing: bool = True, incoming: bool = True) -> GroupPresentation:
         """Kernel of the outgoing map modulo the image of the incoming one at degree k.

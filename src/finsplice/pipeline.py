@@ -3,11 +3,14 @@
 Builds, in order: the specialisation preorder, its strictification, the
 poset/complementary decomposition, the three order complexes (poset part
 under <=, ambient under the strict order, poset part under the strict
-order), the integer chain complexes, the relative complex of the ambient
-pair, and the two cochain complexes that feed the splicer.  The strict
-order is computed once and read by both strict complexes; the poset part
-under <= is built from the preorder itself, so the check that it equals
-the strict one compares two complexes built from different relations.
+order), the poset and ambient chain complexes, the relative complex of
+the ambient pair, and the two cochain complexes that feed the splicer.
+The strict order is computed once and read by both strict complexes; the
+poset part under <= is built from the preorder itself, and the poset part
+under the strict order is built only for the check that the two are
+equal, which compares two complexes built from different relations.  So
+the relative complex is taken against the poset chain complex, and each
+chain complex is built, and its d∘d checked, once.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ def build_pipeline(space: FiniteSpace, policy: str = "least") -> PipelineData:
     assert poset_complex == sub_complex
     poset_chain = chain_complex(poset_complex)
     ambient_chain = chain_complex(ambient_complex)
-    relative_chain = relative_chain_complex(ambient_chain, chain_complex(sub_complex))
+    relative_chain = relative_chain_complex(ambient_chain, poset_chain)
     return PipelineData(
         space=space,
         preorder=preorder,

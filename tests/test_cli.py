@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finsplice
-from finsplice import POSET_WARNING, build_pipeline, cli, from_preorder, preorder_from_relation, random_space
+from finsplice import POSET_WARNING, build_pipeline, cli, from_preorder, pipeline, preorder_from_relation, random_space
 from finsplice import smith_normal_form
 from finsplice.cli import main
 from finsplice.io import space_from_dict, space_to_dict
@@ -91,6 +91,20 @@ def test_spliced_with_verification(capsys):
     for row in ("0  Z", "1  Z", "4  Z"):
         assert row in out
     assert "summary: 4 match / 2 mismatch / 0 uncovered" in out
+
+
+def test_spliced_builds_each_chain_complex_once(capsys, monkeypatch):
+    # The poset and ambient chains, then the relative one against the poset chain.
+    calls = []
+    for name in ("chain_complex", "relative_chain_complex"):
+        def counting(*args, name=name, wrapped=getattr(pipeline, name)):
+            calls.append(name)
+            return wrapped(*args)
+
+        monkeypatch.setattr(pipeline, name, counting)
+    code, _, _ = run(capsys, "spliced", "--fixture", "PSEUDO_S1_DUP", "--length", "3", "--max-degree", "5")
+    assert code == 0
+    assert calls == ["chain_complex", "chain_complex", "relative_chain_complex"]
 
 
 def test_spliced_poset_input(capsys):

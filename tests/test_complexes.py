@@ -31,6 +31,7 @@ from finsplice import (
 )
 from finsplice.complexes import COHOMOLOGICAL, HOMOLOGICAL, checked_complex
 from finsplice.homology import SmithTable
+from finsplice.io import space_from_dict
 from oracles import (
     complex_to_dict,
     dense_diagonals,
@@ -41,6 +42,7 @@ from oracles import (
     is_subcomplex,
     naive_product,
     relation_pairs,
+    rp2_face_poset,
     transpose,
     zero_complex,
 )
@@ -213,6 +215,20 @@ def test_relative_rejects_non_subcomplex(dup_pipeline):
     other = chain_complex(order_complex(specialisation_preorder(SIERP), relation="strict"))
     with pytest.raises(NotASubcomplex):
         relative_chain_complex(dup_pipeline.ambient_chain, other)
+
+
+def test_relative_chain_equals_the_route_through_a_second_subcomplex_chain(pipelines):
+    # The pipeline takes the relative complex against the poset chain; the
+    # route it replaced built a second chain complex from the strict subcomplex.
+    spaces = list(FIXTURES.values()) + [_layered_with_twin()]
+    spaces += [space_from_dict(rp2_face_poset(variant)) for variant in ("plain", "12-doubled", "cone-doubled")]
+    datas = pipelines[:100] + [build_pipeline(space) for space in spaces]
+    for data in datas:
+        old = relative_chain_complex(data.ambient_chain, chain_complex(data.sub_complex))
+        new = data.relative_chain
+        assert (new.direction, new.basis, new.maps) == (old.direction, old.basis, old.maps)
+    # The cone over the doubled point puts the projective plane's Z/2 in the relative part.
+    assert any(group.torsion == (2,) for group in all_groups(datas[-1].relative_chain))
 
 
 def test_cochain_of_relative(dup_pipeline):

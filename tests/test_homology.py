@@ -196,12 +196,23 @@ def test_snf_matches_sympy_invariant_factors(m):
 
 
 @pytest.mark.parametrize("variant, which", [("plain", "poset_chain"), ("cone-doubled", "relative_chain")])
-def test_projective_plane_torsion_matches_sympy_invariant_factors(variant, which):
+def test_projective_plane_torsion_matches_sympy_invariant_factors(variant, which, monkeypatch):
     complex_ = getattr(build_pipeline(space_from_dict(rp2_face_poset(variant))), which)
     expected = tuple(map(sympy_invariant_factors, complex_.maps))
     assert 2 in expected[-1]
     assert tuple(smith_normal_form(m).diagonal for m in complex_.maps) == expected
+    # The Z/2 is no +-1 low, so the bottom-up reduction hands a nonempty block to the dense loop.
+    blocks = []
+    diagonalize = homology._diagonalize
+
+    def recording(a, m, n):
+        blocks.append((m, n))
+        return diagonalize(a, m, n)
+
+    monkeypatch.setattr(homology, "_diagonalize", recording)
     assert complex_.smith.diagonals == expected
+    assert cochain(complex_).smith.diagonals == expected
+    assert any(m and n for m, n in blocks)
 
 
 def _layered_with_twin():
@@ -242,24 +253,24 @@ def _recording_smith(monkeypatch):
     return received
 
 
-def test_smith_table_reduces_each_map_without_the_pivot_rows_of_the_map_above(monkeypatch):
-    # Pins clearing without timing it: below the top, maps[k] reaches the low
-    # reduction with exactly dim(k+1) minus the +-1 lows of maps[k+1] columns.
+def test_smith_table_reduces_each_coboundary_without_the_pivot_rows_of_the_one_below(monkeypatch):
+    # Pins clearing without timing it: above degree 0, the coboundary delta_k,
+    # the transpose of maps[k], reaches the low reduction with exactly dim(k)
+    # minus the +-1 lows of delta_(k-1) as columns.
     received = _recording_smith(monkeypatch)
     data = build_pipeline(_layered_with_twin())
     cleared_columns = 0
     for cc in (data.poset_chain, data.ambient_chain, data.relative_chain):
         received.clear()
         assert SmithTable.of(cc).diagonals == dense_diagonals(cc)
-        inputs = [m for m, _ in received]
-        lows = received[inputs.index(cc.maps[-1])][1]
-        for k in reversed(range(len(cc.maps) - 1)):
-            kept = [column for j, column in enumerate(cc.maps[k].columns) if j not in lows]
-            expected = from_columns(cc.dim(k), len(kept), kept)
-            assert expected.cols == cc.dim(k + 1) - len(lows)
-            assert expected in inputs, k
+        lows: set[int] = set()
+        for k, m in enumerate(cc.maps):
+            kept = [column for i, column in enumerate(transpose(m).columns) if i not in lows]
+            expected = from_columns(cc.dim(k + 1), len(kept), kept)
+            assert expected.cols == cc.dim(k) - len(lows)
+            assert received[k][0] == expected, k
             cleared_columns += len(lows)
-            lows = received[inputs.index(expected)][1]
+            lows = received[k][1]
     assert cleared_columns > 0
 
 
@@ -274,7 +285,10 @@ def test_smith_table_calls_smith_normal_form_once_per_map(monkeypatch):
             received.clear()
             assert SmithTable.of(cc).diagonals == dense_diagonals(cc)
             assert len(received) == len(cc.maps)
-            assert [m.rows for m, _ in received] == [full.rows for full in reversed(cc.maps)]
+            # The transposes in ascending degree, each short of the columns the one before cleared.
+            cleared = [0] + [len(lows) for _, lows in received[:-1]]
+            shapes = [(m.rows, m.cols + c) for (m, _), c in zip(received, cleared)]
+            assert shapes == [(full.cols, full.rows) for full in cc.maps]
 
 
 def test_every_pipeline_map_reduces_by_its_lows_alone(pipelines):
@@ -410,7 +424,7 @@ def _projective_plane_chains():
 
 
 def test_chain_and_cochain_smith_diagonals_agree(pipelines):
-    # A cochain reduces its chain's boundary matrices, relying on a matrix and
+    # A chain and its cochain share one table route, relying on a matrix and
     # its transpose having one Smith diagonal.  The oracle is the dense
     # elimination of each explicit transpose; Z/2 torsion included.
     projective = _projective_plane_chains()
