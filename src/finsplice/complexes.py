@@ -5,13 +5,14 @@ faces.  Faces are stored in relation-ascending vertex order, so the
 boundary of [v0 < ... < vk] is the usual alternating sum over deleted
 vertices.  A chain complex built from an order complex takes its faces,
 vertex-name tuples, as the basis.  Chain complexes carry column-sparse
-integer matrices, one layout for both directions: maps[i] is the boundary
-from degree i+1 to degree i, one column per face of degree i+1.  The
-relative complex keeps the faces outside the subcomplex and their
-columns, with the subcomplex entries dropped.  Both builders write each
-column already canonical (sorted rows, no zeros), so no matrix is
-re-summed.  The cochain complex, the dual Hom(C, Z), holds its chain's
-maps as they are and reads them transposed (see `cochain`).
+integer matrices, one layout for both directions: maps[i] is the
+coboundary from degree i to degree i+1, one column per face of degree i
+listing the faces of degree i+1 that hold it, with their signs.  The
+relative complex keeps the faces outside the subcomplex, their columns
+and their rows.  Both builders write each column already canonical
+(sorted rows, no zeros), so no matrix is re-summed.  A homological
+complex reads its maps transposed, as boundaries; the cochain complex,
+the dual Hom(C, Z), holds its chain's maps as they are (see `cochain`).
 
 `ChainComplex` and `SimplicialComplex` check nothing; outside input is
 checked in `io` and `spaces`.  The builders check only a library caller's
@@ -109,19 +110,18 @@ class ChainComplex(Record):
     """Graded free abelian groups with integer differentials.
 
     Homological complexes lower degree, cohomological raise it.  In both
-    directions maps[i] is the boundary from degree i+1 to degree i, of
-    shape dim(i) x dim(i+1); a cohomological complex reads it transposed as
-    its coboundary from degree i to i+1.  Ranks and Smith diagonals do not
+    directions maps[i] is the coboundary from degree i to degree i+1, of
+    shape dim(i+1) x dim(i); a homological complex reads it transposed as
+    its boundary from degree i+1 to i.  Ranks and Smith diagonals do not
     change under transposition, so of the group readers only
     `SmithTable.group` and `spliced_cohomology`, which tell a kernel from a
     cokernel, read the direction.  basis[k] lists the degree-k basis
     elements, faces for the complexes made here.  Built through
     `checked_complex`, its maps compose to zero and its top degree is
-    nonempty.  `smith` assumes both the boundary layout and maps that
-    compose to zero: `SmithTable.of` reduces the coboundaries, the
-    transposes of the maps, bottom-up, and deletes the columns of the
-    coboundary out of degree k that the +-1 lows of the one out of degree
-    k-1 make coboundaries.
+    nonempty.  `smith` assumes both the coboundary layout and maps that
+    compose to zero: `SmithTable.of` reduces the maps bottom-up as they
+    are stored, and deletes the columns of the coboundary out of degree k
+    that the +-1 lows of the one out of degree k-1 make coboundaries.
     """
 
     __slots__ = ("direction", "basis", "maps", "__dict__")
@@ -142,17 +142,17 @@ class ChainComplex(Record):
         return 0
 
     def map_between(self, i: int) -> IntMatrix:
-        """maps[i], the dim(i) x dim(i+1) map between degrees i and i+1, zero outside range."""
+        """maps[i], the dim(i+1) x dim(i) map between degrees i and i+1, zero outside range."""
         if 0 <= i < len(self.maps):
             return self.maps[i]
-        return IntMatrix.zeros(self.dim(i), self.dim(i + 1))
+        return IntMatrix.zeros(self.dim(i + 1), self.dim(i))
 
     @cached_property
     def smith(self) -> SmithTable:
         """Dimensions and Smith diagonals of the differentials, built on first use.
 
         Chain and cochain complexes alike go through `SmithTable.of`, which
-        reduces the transposed maps from degree 0 up.
+        reduces the stored maps from degree 0 up.
         """
         from .homology import SmithTable  # homology imports this module
 
@@ -165,10 +165,10 @@ def checked_complex(
     """The complex, trailing empty degrees dropped, once its maps compose to zero.
 
     The maps are in the one layout of `ChainComplex` whatever the direction,
-    so the check is maps[i] times maps[i+1]; for a cochain that product is
-    the transpose of the composite coboundary.  A map whose shape does not
-    meet its neighbour's raises in `IntMatrix.mul`.  An all-empty basis
-    gives the zero complex.
+    so the check is maps[i+1] times maps[i]; for a chain complex that
+    product is the transpose of the composite boundary.  A map whose shape
+    does not meet its neighbour's raises in `IntMatrix.mul`.  An all-empty
+    basis gives the zero complex.
     """
     top = -1
     for k, faces in enumerate(basis):
@@ -176,7 +176,7 @@ def checked_complex(
             top = k
     basis, maps = tuple(basis[: top + 1]), tuple(maps[: max(top, 0)])
     for i in range(len(maps) - 1):
-        if not maps[i].mul(maps[i + 1]).is_zero():
+        if not maps[i + 1].mul(maps[i]).is_zero():
             raise ValueError(f"differentials at degrees {i}..{i + 2} do not compose to zero")
     return ChainComplex(direction, basis, maps)
 
@@ -188,17 +188,21 @@ def chain_complex(complex_: SimplicialComplex) -> ChainComplex:
     the basis is `complex_.faces_by_dim` itself.  The boundary of a face is
     the alternating sum over deleted vertices: `combinations(face, k)`
     lists the facets from the last vertex deleted to the first, so their
-    signs run (-1)^k down to (-1)^0.  A face lists its vertices in relation
-    order, not name order, so the rows of its k+1 facets are sorted before
-    the column is stored.
+    signs run (-1)^k down to (-1)^0.  Each k-face appends itself, with
+    that sign, to the coboundary column of each of its facets, sharing
+    its two (row, +-1) pairs; the faces come in sorted order and meet each
+    facet once, so every column comes out sorted with no entry summed.
     """
     maps = []
     for k in range(1, len(complex_.faces_by_dim)):
         rows = {face: i for i, face in enumerate(complex_.faces_by_dim[k - 1])}
-        signs = [(-1) ** i for i in range(k, -1, -1)]
-        columns = tuple([tuple(sorted(zip(map(rows.__getitem__, combinations(face, k)), signs)))
-                         for face in complex_.faces_by_dim[k]])
-        maps.append(IntMatrix(len(rows), len(columns), columns))
+        odd = [i % 2 for i in range(k, -1, -1)]
+        columns: list[list[tuple[int, int]]] = [[] for _ in rows]
+        for j, face in enumerate(complex_.faces_by_dim[k]):
+            entries = ((j, 1), (j, -1))
+            for facet, sign in zip(combinations(face, k), odd):
+                columns[rows[facet]].append(entries[sign])
+        maps.append(IntMatrix(len(complex_.faces_by_dim[k]), len(rows), tuple(map(tuple, columns))))
     return checked_complex(HOMOLOGICAL, complex_.faces_by_dim, maps)
 
 
@@ -207,7 +211,8 @@ def relative_chain_complex(ambient: ChainComplex, sub: ChainComplex) -> ChainCom
 
     Degree-k basis elements are the ambient faces not in the subcomplex;
     differentials are the ambient ones with the subcomplex coordinates
-    deleted.  The kept rows are renumbered in ascending order, so each
+    deleted: coboundary k keeps the columns of the kept k-faces and the
+    rows of the kept (k+1)-faces, renumbered in ascending order, so each
     filtered column stays sorted and free of zeros.  The subcomplex is
     contained in the ambient complex when, in each degree, as many ambient
     faces lie in it as it has faces.
@@ -225,21 +230,21 @@ def relative_chain_complex(ambient: ChainComplex, sub: ChainComplex) -> ChainCom
     basis = tuple(tuple(faces[i] for i in kept) for faces, kept in zip(ambient.basis, keep))
     maps = []
     for k, m in enumerate(ambient.maps):
-        rows = {i: new for new, i in enumerate(keep[k])}
-        columns = tuple([tuple([(rows[i], x) for i, x in m.columns[j] if i in rows]) for j in keep[k + 1]])
+        rows = {i: new for new, i in enumerate(keep[k + 1])}
+        columns = tuple([tuple([(rows[i], x) for i, x in m.columns[j] if i in rows]) for j in keep[k]])
         maps.append(IntMatrix(len(rows), len(columns), columns))
     return checked_complex(HOMOLOGICAL, basis, maps)
 
 
 def cochain(chain: ChainComplex) -> ChainComplex:
-    """The dual complex Hom(C, Z): the same bases and the very same maps, read transposed.
+    """The dual complex Hom(C, Z): the same bases and the very same maps.
 
-    The coboundary from degree k to k+1 is the transpose of the boundary
-    maps[k], and the two share one Smith diagonal, so the dual's table is
-    the chain's: `SmithTable.of` reduces the coboundaries of either.  The
-    chain's maps compose to zero, so the dual is wrapped without repeating
-    that check.  The
-    four-point circle has H^1 = Z:
+    The chain complex stores each map as the coboundary, maps[k] from
+    degree k to k+1, and reads it transposed; the dual reads it as it is.
+    So the dual's table is the chain's: `SmithTable.of` reduces the same
+    stored maps for either.  The chain's maps compose to zero, so the dual
+    is wrapped without repeating that check.  The four-point circle has
+    H^1 = Z:
 
     >>> from finsplice import PSEUDO_S1, build_pipeline
     >>> circle = build_pipeline(PSEUDO_S1).poset_chain

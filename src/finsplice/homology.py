@@ -5,11 +5,12 @@ reduces to the Smith normal form of the differentials, computed once per
 complex into a `SmithTable`, from which `SmithTable.group` reads every
 group: kernels, cokernels and kernel modulo image alike.
 
-Every complex holds its maps as boundaries, dim(i) x dim(i+1) (see
-`complexes`); a cochain complex shares its chain's maps and reads them
-transposed.  A matrix and its transpose have the same Smith diagonal, so
-chain and cochain tables are computed the same way; the direction only
-tells `SmithTable.group` which map leaves a degree and which enters.
+Every complex holds its maps as coboundaries, dim(i+1) x dim(i) (see
+`complexes`); a chain complex reads them transposed, and its cochain
+complex shares them.  A matrix and its transpose have the same Smith
+diagonal, so chain and cochain tables are computed the same way; the
+direction only tells `SmithTable.group` which map leaves a degree and
+which enters.
 
 `smith_normal_form` is the one Smith routine: it reduces a column-sparse
 map by its lowest entries over Z, each +-1 low giving a 1 on the
@@ -19,8 +20,8 @@ workloads and not when there is torsion (the projective plane's face
 poset, say).  The tests' transform oracle runs the same loop on a matrix
 augmented by two identities and reads U and V off the margins.
 
-`SmithTable.of` reduces the coboundaries, the transposed maps, bottom-up
-and clears, the way cohomology codes do (de Silva, Morozov and
+`SmithTable.of` reduces the coboundaries, the stored maps, bottom-up and
+clears, the way cohomology codes do (de Silva, Morozov and
 Vejdemo-Johansson, "Dualities in persistent (co)homology", Inverse
 Problems 27, 2011; Bauer, "Ripser", J. Appl. Comput. Topol. 5, 2021).  A
 +-1 low p of the coboundary out of degree k-1 makes column p of the
@@ -220,11 +221,11 @@ class SmithTable(NamedTuple):
 
     @classmethod
     def of(cls, complex_: ChainComplex) -> SmithTable:
-        """The table of a complex whose maps are boundaries that compose to zero.
+        """The table of a complex whose maps are coboundaries that compose to zero.
 
-        The coboundaries delta_k, the transposes of maps[k] with one column
-        per k-face, are reduced bottom-up with clearing (de Silva, Morozov
-        and Vejdemo-Johansson, Inverse Problems 27, 2011; Bauer, "Ripser",
+        The coboundaries delta_k = maps[k], with one column per k-face, are
+        reduced bottom-up with clearing (de Silva, Morozov and
+        Vejdemo-Johansson, Inverse Problems 27, 2011; Bauer, "Ripser",
         2021).  Say a reduced column R of delta_(k-1) has its low at p.  R
         is delta_(k-1) of an integer cochain v, has +-1 at p and entries
         only above p.  As delta_k R = 0, column p of delta_k is an integer
@@ -232,31 +233,27 @@ class SmithTable(NamedTuple):
         highest p down is a sequence of unimodular column operations
         followed by dropping a zero column, so delta_k without the columns
         of all of delta_(k-1)'s +-1 lows has the same Smith diagonal as
-        delta_k, which is that of maps[k], and the reduction and the dense
-        elimination run on that narrower matrix.  Each map, the top one
-        included, goes through `smith_normal_form` once, and its lows are
-        the columns cleared from the map above.  Both directions take this
-        one route.
+        delta_k, and the reduction and the dense elimination run on that
+        narrower matrix, whose columns are the stored ones themselves.
+        Each map, the top one included, goes through `smith_normal_form`
+        once, and its lows are the columns cleared from the map above.
+        Both directions take this one route.
 
-        The Z/2 projective plane (two vertices, three edges, two faces):
+        The Z/2 projective plane (two vertices, three edges, two faces), its
+        coboundaries from vertices to edges and from edges to faces:
 
         >>> from finsplice.complexes import HOMOLOGICAL
-        >>> d1 = IntMatrix.from_rows([[-1, 1, 0], [1, -1, 0]])
-        >>> d2 = IntMatrix.from_rows([[1, 1], [1, 1], [1, -1]])
-        >>> rp2 = ChainComplex(HOMOLOGICAL, ((("v",), ("w",)), (("a",), ("b",), ("c",)), (("U",), ("L",))), (d1, d2))
+        >>> d0 = IntMatrix.from_rows([[-1, 1], [1, -1], [0, 0]])
+        >>> d1 = IntMatrix.from_rows([[1, 1, 1], [1, 1, -1]])
+        >>> rp2 = ChainComplex(HOMOLOGICAL, ((("v",), ("w",)), (("a",), ("b",), ("c",)), (("U",), ("L",))), (d0, d1))
         >>> SmithTable.of(rp2).diagonals
         ((1,), (1, 2))
         """
         diagonals = []
         cleared: set[int] = set()
         for m in complex_.maps:
-            # delta_k: column i lists the (k+1)-faces whose boundary holds k-face i.
-            coboundary: list[list[tuple[int, int]]] = [[] for _ in range(m.rows)]
-            for j, column in enumerate(m.columns):
-                for i, x in column:
-                    coboundary[i].append((j, x))
-            kept = tuple([tuple(column) for i, column in enumerate(coboundary) if i not in cleared])
-            diagonal, cleared = smith_normal_form(IntMatrix(m.cols, len(kept), kept))
+            kept = tuple([column for i, column in enumerate(m.columns) if i not in cleared])
+            diagonal, cleared = smith_normal_form(IntMatrix(m.rows, len(kept), kept))
             diagonals.append(diagonal)
         return cls(complex_.direction, tuple(len(faces) for faces in complex_.basis), tuple(diagonals))
 

@@ -2,13 +2,14 @@
 
 Entries are Python ints, so there is no overflow and no dtype trap.  Each
 column keeps only its nonzero entries, as (row, value) pairs in ascending
-row order: a boundary map of an order complex has k+1 nonzeros per column,
-so a product costs what the nonzeros cost, not rows x cols.
-Shapes are explicit even when a dimension is zero, which matters for the
-empty boundary maps at the ends of a chain complex.  `mul` splits each
-left column once into its +1 rows and its -1 rows; a product column whose
-terms are all +1 or -1 times such columns is the difference of two row
-lists, and it is zero when they are equal as sorted lists, as in d*d = 0.
+row order: a coboundary of an order complex holds, in the column of a
+face, one nonzero per face one degree up that contains it, so a product
+costs what the nonzeros cost, not rows x cols.  Shapes are explicit even
+when a dimension is zero, which matters for the empty maps at the ends of
+a chain complex.  `mul` splits each left column once into its +1 rows and
+its -1 rows; a product column whose terms are all +1 or -1 times such
+columns is the difference of two row lists, and it is zero when they are
+equal as sorted lists, as in d*d = 0.
 Every other product column is summed exactly.
 
 `IntMatrix(rows, cols, columns)` takes the stored form as it is and checks
@@ -62,9 +63,13 @@ class IntMatrix(NamedTuple):
         two lists are equal once sorted.  Any other column, and a column
         whose lists differ, is summed exactly.
 
-        >>> boundary = IntMatrix.from_rows([[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
-        >>> boundary.mul(IntMatrix.from_rows([[1, 2], [-1, 0], [1, 0]])).columns
-        ((), ((0, -2), (1, 2)))
+        The triangle's coboundary from vertices to edges, after the one
+        from edges to its face (row 0), composes to zero; row 1 of the left
+        factor is not a coboundary:
+
+        >>> coboundary = IntMatrix.from_rows([[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
+        >>> IntMatrix.from_rows([[1, -1, 1], [2, 0, 0]]).mul(coboundary).columns
+        (((1, -2),), ((1, 2),), ())
         """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")

@@ -1,16 +1,14 @@
 """The canonical pipeline from a space to the two spliced sources.
 
-Builds, in order: the specialisation preorder, its strictification, the
-poset/complementary decomposition, the three order complexes (poset part
-under <=, ambient under the strict order, poset part under the strict
-order), the poset and ambient chain complexes, the relative complex of
-the ambient pair, and the two cochain complexes that feed the splicer.
-The strict order is computed once and read by both strict complexes; the
-poset part under <= is built from the preorder itself, and the poset part
-under the strict order is built only for the check that the two are
-equal, which compares two complexes built from different relations.  So
-the relative complex is taken against the poset chain complex, and each
-chain complex is built, and its d∘d checked, once.
+Builds, in order: the specialisation preorder, the poset/complementary
+decomposition, the two order complexes (poset part under <=, ambient
+under its strictification), the poset and ambient chain complexes, the
+relative complex of the ambient pair, and the two cochain complexes that
+feed the splicer.  On the representatives the preorder is a poset, so it
+equals its strict order there, and the poset part's complex is the
+subcomplex of the ambient one that the relative complex is taken
+against.  Each chain complex is built, and its d∘d checked, once; each
+map is stored as the coboundary the cochains read (see `complexes`).
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ class PipelineData(NamedTuple):
     t0: bool
     poset_complex: SimplicialComplex
     ambient_complex: SimplicialComplex
-    sub_complex: SimplicialComplex
     poset_chain: ChainComplex
     ambient_chain: ChainComplex
     relative_chain: ChainComplex
@@ -55,13 +52,9 @@ class PipelineData(NamedTuple):
 
 def build_pipeline(space: FiniteSpace, policy: str = "least") -> PipelineData:
     preorder = specialisation_preorder(space)
-    strict = strictify(preorder)
     decomposition = decompose(preorder, policy)
     poset_complex = order_complex(preorder, decomposition.representatives, relation="leq")
-    ambient_complex = order_complex(strict, relation="leq")
-    sub_complex = order_complex(strict, decomposition.representatives, relation="leq")
-    # On the representatives the two relations coincide face for face.
-    assert poset_complex == sub_complex
+    ambient_complex = order_complex(strictify(preorder), relation="leq")
     poset_chain = chain_complex(poset_complex)
     ambient_chain = chain_complex(ambient_complex)
     relative_chain = relative_chain_complex(ambient_chain, poset_chain)
@@ -72,7 +65,6 @@ def build_pipeline(space: FiniteSpace, policy: str = "least") -> PipelineData:
         t0=not decomposition.complementary,  # T0: every class is one point
         poset_complex=poset_complex,
         ambient_complex=ambient_complex,
-        sub_complex=sub_complex,
         poset_chain=poset_chain,
         ambient_chain=ambient_chain,
         relative_chain=relative_chain,

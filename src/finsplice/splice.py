@@ -54,7 +54,7 @@ class SplicedComplex(NamedTuple):
         for i, block in enumerate(self.blocks):
             source = self.sources[block.source]
             if i and block.source != self.blocks[i - 1].source:  # the seam between distinct sources
-                maps[-1] = IntMatrix.zeros(len(basis[-1]), source.dim(block.source_start))
+                maps[-1] = IntMatrix.zeros(source.dim(block.source_start), len(basis[-1]))
             for degree in range(block.source_start, block.source_start + block.span):
                 basis.append(source.basis[degree] if degree <= source.top_degree else ())
                 maps.append(source.map_between(degree))

@@ -1,7 +1,8 @@
 """Oracles the tests share that the program itself does not call.
 
 Each computes from first principles something the program derives on its
-own route (the relation as pairs, closures, subcomplex inclusion, Euler
+own route (the relation as pairs, closures, the poset part's complex
+under the strict order, subcomplex inclusion, Euler
 characteristics, face labels and the `finsplice-complex/1` form, summed
 sparse columns, transposes, dense products, whole-matrix Smith forms with
 their transforms, the large-length limits of a splice), so the tests can
@@ -16,10 +17,11 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from finsplice import ChainComplex, ComparisonReport, FiniteSpace, IntMatrix, Preorder, SimplicialComplex, all_groups
-from finsplice import splice, splice_negative, spliced_cohomology
+from finsplice import order_complex, splice, splice_negative, spliced_cohomology, strictify
 from finsplice.cli import escape_names
-from finsplice.complexes import COHOMOLOGICAL
+from finsplice.complexes import COHOMOLOGICAL, HOMOLOGICAL
 from finsplice.homology import _diagonalize
+from finsplice.pipeline import PipelineData
 from finsplice.splice import MATCH
 
 COMPLEX_FORMAT = "finsplice-complex/1"
@@ -74,6 +76,15 @@ def is_subcomplex(candidate: SimplicialComplex, ambient: SimplicialComplex) -> b
     return True
 
 
+def strict_poset_complex(data: PipelineData) -> SimplicialComplex:
+    """The poset part's order complex under the strict order, built from the pipeline's preorder.
+
+    On the representatives the preorder is antisymmetric, so this must equal
+    `data.poset_complex` and be a subcomplex of `data.ambient_complex`.
+    """
+    return order_complex(strictify(data.preorder), data.decomposition.representatives)
+
+
 def face_label(face: tuple[str, ...]) -> str:
     """The vertices, escaped by `escape_names`, joined by commas, so labels are injective."""
     return ",".join(escape_names(face))
@@ -82,11 +93,11 @@ def face_label(face: tuple[str, ...]) -> str:
 def complex_to_dict(complex_: ChainComplex) -> dict:
     """The `finsplice-complex/1` form: each face written as its label, each map target-by-source.
 
-    A cochain holds its chain's boundary maps and reads them transposed
-    (see `complexes`), so its coboundaries are transposed here.
+    Every complex holds its maps as coboundaries and a chain complex reads
+    them transposed (see `complexes`), so its boundaries are transposed here.
     """
     maps = complex_.maps
-    if complex_.direction == COHOMOLOGICAL:
+    if complex_.direction == HOMOLOGICAL:
         maps = tuple(map(transpose, maps))
     return {
         "format": COMPLEX_FORMAT,

@@ -43,6 +43,7 @@ from oracles import (
     naive_product,
     relation_pairs,
     rp2_face_poset,
+    strict_poset_complex,
     transpose,
     zero_complex,
 )
@@ -130,7 +131,7 @@ def test_order_complex_rejects_non_posets():
 
 
 def test_subcomplex_examples(dup_pipeline):
-    assert is_subcomplex(dup_pipeline.sub_complex, dup_pipeline.ambient_complex)
+    assert is_subcomplex(strict_poset_complex(dup_pipeline), dup_pipeline.ambient_complex)
     assert is_subcomplex(dup_pipeline.ambient_complex, dup_pipeline.ambient_complex)
     sierp_complex = order_complex(specialisation_preorder(SIERP), relation="strict")
     circle = order_complex(specialisation_preorder(PSEUDO_S1), relation="strict")
@@ -142,7 +143,7 @@ def test_circle_boundary_matrix(circle_complex):
     assert cc.direction == "homological"
     assert cc.basis[0] == (("a",), ("b",), ("c",), ("d",))
     assert cc.basis[1] == (("c", "a"), ("c", "b"), ("d", "a"), ("d", "b"))
-    assert cc.maps[0].to_lists() == [
+    assert transpose(cc.maps[0]).to_lists() == [
         [1, 0, 1, 0],
         [0, 1, 0, 1],
         [-1, -1, 0, 0],
@@ -153,7 +154,7 @@ def test_circle_boundary_matrix(circle_complex):
 def test_chain_basis_is_the_faces():
     for space in FIXTURES.values():
         data = build_pipeline(space)
-        for sc in (data.poset_complex, data.ambient_complex, data.sub_complex):
+        for sc in (data.poset_complex, data.ambient_complex, strict_poset_complex(data)):
             assert chain_complex(sc).basis == sc.faces_by_dim
 
 
@@ -184,13 +185,13 @@ def test_single_vertex_chain_complex():
 def test_edge_boundary():
     sc = SimplicialComplex(("a", "b"), ((("a",), ("b",)), (("a", "b"),)))
     cc = chain_complex(sc)
-    assert cc.maps[0].to_lists() == [[-1], [1]]
+    assert transpose(cc.maps[0]).to_lists() == [[-1], [1]]
 
 
 def test_relative_complex_of_dup(dup_pipeline):
     rel = dup_pipeline.relative_chain
     assert rel.basis == ((("c'",),), (("c'", "a"), ("c'", "b")))
-    assert rel.maps[0].to_lists() == [[-1, -1]]
+    assert transpose(rel.maps[0]).to_lists() == [[-1, -1]]
 
 
 def test_relative_of_self_is_zero(dup_pipeline):
@@ -224,7 +225,7 @@ def test_relative_chain_equals_the_route_through_a_second_subcomplex_chain(pipel
     spaces += [space_from_dict(rp2_face_poset(variant)) for variant in ("plain", "12-doubled", "cone-doubled")]
     datas = pipelines[:100] + [build_pipeline(space) for space in spaces]
     for data in datas:
-        old = relative_chain_complex(data.ambient_chain, chain_complex(data.sub_complex))
+        old = relative_chain_complex(data.ambient_chain, chain_complex(strict_poset_complex(data)))
         new = data.relative_chain
         assert (new.direction, new.basis, new.maps) == (old.direction, old.basis, old.maps)
     # The cone over the doubled point puts the projective plane's Z/2 in the relative part.
@@ -235,7 +236,8 @@ def test_cochain_of_relative(dup_pipeline):
     dual = dup_pipeline.relative_cochain
     assert (dual.direction, dual.basis) == (COHOMOLOGICAL, dup_pipeline.relative_chain.basis)
     assert dual.maps is dup_pipeline.relative_chain.maps
-    assert dual.maps[0].to_lists() == [[-1, -1]]
+    assert transpose(dual.maps[0]).to_lists() == [[-1, -1]]
+    assert complex_to_dict(dual)["maps"][0]["entries"] == [[-1], [-1]]  # the coboundary of c'
 
 
 def test_cochain_of_zero_complex():
@@ -243,12 +245,13 @@ def test_cochain_of_zero_complex():
 
 
 def test_cochain_of_circle_is_transpose(circle_complex):
-    # The dual holds the boundary itself; its coboundary, as written, is the transpose.
+    # Both hold the coboundary itself; the chain's boundary, as written, is the transpose.
     cc = chain_complex(circle_complex)
     dual = cochain(cc)
     assert (dual.direction, dual.basis) == (COHOMOLOGICAL, cc.basis)
     assert dual.maps is cc.maps
-    assert complex_to_dict(dual)["maps"][0]["entries"] == transpose(cc.maps[0]).to_lists()
+    assert complex_to_dict(dual)["maps"][0]["entries"] == cc.maps[0].to_lists()
+    assert complex_to_dict(cc)["maps"][0]["entries"] == transpose(cc.maps[0]).to_lists()
 
 
 def test_compositions_are_zero(pipelines):
@@ -258,7 +261,7 @@ def test_compositions_are_zero(pipelines):
     for data in datas:
         for cc in (data.poset_chain, data.ambient_chain, data.relative_chain):
             for i in range(len(cc.maps) - 1):
-                a, b = cc.maps[i], cc.maps[i + 1]
+                a, b = cc.maps[i + 1], cc.maps[i]
                 product = a.mul(b)
                 assert product.to_lists() == naive_product(a.to_lists(), b.to_lists(), a.cols, b.cols)
                 assert product.is_zero()
@@ -269,12 +272,17 @@ def test_compositions_are_zero(pipelines):
 def test_chain_complex_rejects_unit_terms_that_do_not_pair_up():
     # The triangle's boundary bc - ac + ab with the sign of ab flipped: every
     # term of the composite is +1 or -1, it adds rows [a, a, c] and subtracts
-    # rows [b, b, c], and it is 2a - 2b.
+    # rows [b, b, c], and it is 2a - 2b.  The complex holds the transposes,
+    # whose composite at vertex a adds the face twice, at b subtracts it
+    # twice, and at c adds and subtracts it once.
     first = IntMatrix.from_rows([[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
     second = IntMatrix.from_rows([[-1], [-1], [1]])
     assert first.mul(second).to_lists() == [[2], [-2], [0]]
+    assert transpose(second).mul(transpose(first)).to_lists() == [[2, -2, 0]]
     with pytest.raises(ValueError, match="do not compose to zero"):
-        checked_complex(HOMOLOGICAL, (("a", "b", "c"), ("ab", "ac", "bc"), ("abc",)), (first, second))
+        checked_complex(
+            HOMOLOGICAL, (("a", "b", "c"), ("ab", "ac", "bc"), ("abc",)), (transpose(first), transpose(second))
+        )
 
 
 def test_chain_complex_rejects_bad_composition():
@@ -285,21 +293,21 @@ def test_chain_complex_rejects_bad_composition():
 
 @pytest.mark.parametrize("direction", ["homological", "cohomological"])
 def test_chain_complex_rejects_composite_nonzero_off_the_corner(direction):
-    # Both directions hold the boundaries, 2x2 then 2x1; the composite is
-    # zero except at row 1, column 0.
+    # The boundaries, 2x2 then 2x1, compose to zero except at row 1, column
+    # 0; both directions hold their transposes, the coboundaries.
     first = IntMatrix.from_rows([[0, 0], [0, 1]])
     second = IntMatrix.from_rows([[0], [1]])
     basis = (("x", "y"), ("u", "v"), ("w",))
     with pytest.raises(ValueError, match="do not compose to zero"):
-        checked_complex(direction, basis, (first, second))
-    # Coboundaries written target-by-source are not the layout: their shapes do not meet.
-    with pytest.raises(ValueError, match="shape mismatch"):
         checked_complex(direction, basis, (transpose(first), transpose(second)))
+    # Boundaries written target-by-source are not the layout: their shapes do not meet.
+    with pytest.raises(ValueError, match="shape mismatch"):
+        checked_complex(direction, basis, (first, second))
 
 
 def test_poset_part_is_subcomplex_everywhere(pipelines):
     for data in pipelines:
-        assert is_subcomplex(data.sub_complex, data.ambient_complex)
+        assert is_subcomplex(strict_poset_complex(data), data.ambient_complex)
 
 
 def test_relation_choice_agrees_on_poset_part(corpus):
@@ -384,12 +392,11 @@ def test_order_complex_matches_combination_enumerator_on_layered_relation():
     assert_witness_is_first_pair_of_each_class(preorder)
 
 
-def reference_chain_complex(complex_):
-    """Boundary matrices through `from_columns`, which sums and sorts every column.
+def reference_boundaries(complex_):
+    """Boundary matrices, one column per face, through `from_columns`, which sums and sorts every column.
 
-    The complex is built by `checked_complex`, so the oracle checks d∘d = 0 too.
+    Each boundary composes to zero with the next, checked here.
     """
-    basis = tuple(tuple(faces) for faces in complex_.faces_by_dim)
     maps = []
     for k in range(1, len(complex_.faces_by_dim)):
         rows = {face: i for i, face in enumerate(complex_.faces_by_dim[k - 1])}
@@ -398,40 +405,48 @@ def reference_chain_complex(complex_):
             for face in complex_.faces_by_dim[k]
         ]
         maps.append(from_columns(len(rows), len(columns), columns))
-    return checked_complex(HOMOLOGICAL, basis, tuple(maps))
+    for first, second in zip(maps, maps[1:]):
+        assert first.mul(second).is_zero()
+    return tuple(maps)
+
+
+def reference_chain_complex(complex_):
+    """The transposed reference boundaries, built by `checked_complex`, so it checks d∘d = 0 too."""
+    basis = tuple(tuple(faces) for faces in complex_.faces_by_dim)
+    return checked_complex(HOMOLOGICAL, basis, tuple(map(transpose, reference_boundaries(complex_))))
 
 
 def reference_relative_maps(ambient, sub):
-    """The relative differentials through `from_columns`, by face lookup."""
+    """The relative coboundaries: each boundary restricted through `from_columns` by face lookup, transposed."""
     maps = []
-    for k, m in enumerate(ambient.maps):
+    for k, m in enumerate(map(transpose, ambient.maps)):
         sub_rows = set(sub.basis[k]) if k < len(sub.basis) else set()
         sub_cols = set(sub.basis[k + 1]) if k + 1 < len(sub.basis) else set()
         kept_rows = [i for i, face in enumerate(ambient.basis[k]) if face not in sub_rows]
         kept_cols = [j for j, face in enumerate(ambient.basis[k + 1]) if face not in sub_cols]
         new_row = {i: n for n, i in enumerate(kept_rows)}
         columns = [[(new_row[i], x) for i, x in m.columns[j] if i in new_row] for j in kept_cols]
-        maps.append(from_columns(len(kept_rows), len(kept_cols), columns))
+        maps.append(transpose(from_columns(len(kept_rows), len(kept_cols), columns)))
     return maps
 
 
 def reference_cochain(chain):
-    """The dual with explicitly transposed maps, coboundaries target-by-source.
+    """The dual with explicitly transposed maps, the boundaries themselves.
 
-    Each coboundary after the first composes to zero with the one before it,
-    checked here rather than by `checked_complex`, which takes the boundary layout.
+    Each boundary composes to zero with the next, checked here rather than
+    by `checked_complex`, which takes the coboundary layout.
     """
     maps = tuple(map(transpose, chain.maps))
     for first, second in zip(maps, maps[1:]):
-        assert second.mul(first).is_zero()
+        assert first.mul(second).is_zero()
     return ChainComplex(COHOMOLOGICAL, chain.basis, maps)
 
 
 def dense_groups(complex_):
     """Groups read from the dense Smith diagonal of each map on its own.
 
-    `SmithTable.of` clears columns by the rule that consecutive boundaries
-    compose to zero, which target-by-source coboundaries do not; this reads
+    `SmithTable.of` clears columns by the rule that consecutive coboundaries
+    compose to zero, which boundaries do not in that order; this reads
     any layout.
     """
     table = SmithTable(complex_.direction, tuple(map(len, complex_.basis)), dense_diagonals(complex_))
@@ -460,7 +475,7 @@ def assert_canonical_construction(ambient_complex, sub_complex):
 def test_canonical_construction_matches_reference_on_fixtures():
     for space in FIXTURES.values():
         data = build_pipeline(space)
-        assert_canonical_construction(data.ambient_complex, data.sub_complex)
+        assert_canonical_construction(data.ambient_complex, strict_poset_complex(data))
         assert data.poset_cochain.maps is data.poset_chain.maps
         assert data.relative_cochain.maps is data.relative_chain.maps
 
@@ -468,7 +483,7 @@ def test_canonical_construction_matches_reference_on_fixtures():
 def test_canonical_construction_matches_reference_on_corpus(pipelines):
     assert len(pipelines) == 500
     for data in pipelines:
-        assert_canonical_construction(data.ambient_complex, data.sub_complex)
+        assert_canonical_construction(data.ambient_complex, strict_poset_complex(data))
 
 
 def test_canonical_construction_matches_reference_on_blown_up_fixtures():
@@ -486,3 +501,21 @@ def test_canonical_construction_matches_reference_on_layered_relation():
     ambient = order_complex(strict, relation="leq")
     assert dimension(ambient) == 3
     assert_canonical_construction(ambient, order_complex(strict, representatives, relation="leq"))
+
+
+def test_chain_complex_columns_are_canonical_coboundaries(pipelines):
+    # Each face appends itself to its facets' columns in sorted order, so
+    # every stored column is the coboundary of a face, already canonical:
+    # rows strictly ascending and no zero.
+    spaces = list(FIXTURES.values()) + [_layered_with_twin()]
+    columns = 0
+    for data in pipelines[:100] + [build_pipeline(space) for space in spaces]:
+        for sc in (data.poset_complex, data.ambient_complex):
+            maps = chain_complex(sc).maps
+            assert maps == tuple(map(transpose, reference_boundaries(sc)))
+            for column in (column for m in maps for column in m.columns):
+                rows = [i for i, _ in column]
+                assert all(i < j for i, j in zip(rows, rows[1:]))
+                assert all(x for _, x in column)
+                columns += 1
+    assert columns > 1000

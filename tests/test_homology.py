@@ -163,7 +163,7 @@ unit_biased_matrices = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
 
 def one_map_diagonal(m):
     """The diagonal `SmithTable.of` reads for m as the one map of a complex."""
-    basis = (tuple((f"r{i}",) for i in range(m.rows)), tuple((f"c{j}",) for j in range(m.cols)))
+    basis = (tuple((f"c{j}",) for j in range(m.cols)), tuple((f"r{i}",) for i in range(m.rows)))
     return SmithTable.of(ChainComplex(HOMOLOGICAL, basis, (m,))).diagonals[0]
 
 
@@ -254,9 +254,9 @@ def _recording_smith(monkeypatch):
 
 
 def test_smith_table_reduces_each_coboundary_without_the_pivot_rows_of_the_one_below(monkeypatch):
-    # Pins clearing without timing it: above degree 0, the coboundary delta_k,
-    # the transpose of maps[k], reaches the low reduction with exactly dim(k)
-    # minus the +-1 lows of delta_(k-1) as columns.
+    # Pins clearing without timing it: above degree 0, the coboundary
+    # delta_k = maps[k] reaches the low reduction with exactly dim(k) minus
+    # the +-1 lows of delta_(k-1) as columns.
     received = _recording_smith(monkeypatch)
     data = build_pipeline(_layered_with_twin())
     cleared_columns = 0
@@ -265,7 +265,7 @@ def test_smith_table_reduces_each_coboundary_without_the_pivot_rows_of_the_one_b
         assert SmithTable.of(cc).diagonals == dense_diagonals(cc)
         lows: set[int] = set()
         for k, m in enumerate(cc.maps):
-            kept = [column for i, column in enumerate(transpose(m).columns) if i not in lows]
+            kept = [column for i, column in enumerate(m.columns) if i not in lows]
             expected = from_columns(cc.dim(k + 1), len(kept), kept)
             assert expected.cols == cc.dim(k) - len(lows)
             assert received[k][0] == expected, k
@@ -285,10 +285,32 @@ def test_smith_table_calls_smith_normal_form_once_per_map(monkeypatch):
             received.clear()
             assert SmithTable.of(cc).diagonals == dense_diagonals(cc)
             assert len(received) == len(cc.maps)
-            # The transposes in ascending degree, each short of the columns the one before cleared.
+            # The stored maps in ascending degree, each short of the columns the one before cleared.
             cleared = [0] + [len(lows) for _, lows in received[:-1]]
             shapes = [(m.rows, m.cols + c) for (m, _), c in zip(received, cleared)]
-            assert shapes == [(full.cols, full.rows) for full in cc.maps]
+            assert shapes == [(full.rows, full.cols) for full in cc.maps]
+
+
+def test_smith_table_hands_the_stored_columns_to_the_reduction(monkeypatch):
+    # `SmithTable.of` builds no transposed copy: each column it passes to
+    # `smith_normal_form` is a stored column itself, and only the cleared
+    # ones are left out.
+    received = _recording_smith(monkeypatch)
+    spaces = (_layered_with_twin(), PSEUDO_S1_DUP, space_from_dict(rp2_face_poset("cone-doubled")))
+    passed = 0
+    for space in spaces:
+        data = build_pipeline(space)
+        for cc in (data.poset_cochain, data.ambient_chain, data.relative_cochain):
+            received.clear()
+            SmithTable.of(cc)
+            lows: set[int] = set()
+            for m, (matrix, next_lows) in zip(cc.maps, received):
+                kept = [column for i, column in enumerate(m.columns) if i not in lows]
+                assert matrix.rows == m.rows and len(matrix.columns) == len(kept)
+                assert all(a is b for a, b in zip(matrix.columns, kept))
+                passed += len(kept)
+                lows = next_lows
+    assert passed > 500
 
 
 def test_every_pipeline_map_reduces_by_its_lows_alone(pipelines):
@@ -309,7 +331,7 @@ def test_every_pipeline_map_reduces_by_its_lows_alone(pipelines):
 
 
 def _rebased(complex_, steps):
-    """The complex in new bases: maps[k] becomes U_k^-1 maps[k] U_(k+1).
+    """The complex in new bases: maps[k] becomes U_(k+1)^-1 maps[k] U_k.
 
     Each U_k is a product of elementary matrices, built with its inverse:
     a step (i, j, q) adds q times column i of U_k to column j and subtracts
@@ -333,7 +355,7 @@ def _rebased(complex_, steps):
         bases.append(IntMatrix.from_rows(u, cols=n))
         inverses.append(IntMatrix.from_rows(u_inv, cols=n))
         assert bases[-1].mul(inverses[-1]) == identity(n)
-    maps = tuple(inverses[k].mul(m).mul(bases[k + 1]) for k, m in enumerate(complex_.maps))
+    maps = tuple(inverses[k + 1].mul(m).mul(bases[k]) for k, m in enumerate(complex_.maps))
     return ChainComplex(complex_.direction, complex_.basis, maps)
 
 
@@ -352,7 +374,7 @@ def test_smith_table_matches_dense_diagonals_after_unimodular_rebasing(name, ste
     complex_ = {"projective plane": _projective_plane_chains, "kernel and cokernel": kernel_cokernel_cochains}[name]()
     rebased = _rebased(complex_, steps)
     for first, second in zip(rebased.maps, rebased.maps[1:]):
-        assert first.mul(second).is_zero()
+        assert second.mul(first).is_zero()
     assert SmithTable.of(rebased).diagonals == dense_diagonals(rebased) == dense_diagonals(complex_)
 
 
@@ -417,10 +439,13 @@ def test_euler_characteristic_both_ways(pipelines):
 
 
 def _projective_plane_chains():
-    """A cell structure with H = (Z, Z/2, 0): 2 vertices, 3 edges, 2 faces."""
+    """A cell structure with H = (Z, Z/2, 0): 2 vertices, 3 edges, 2 faces.
+
+    The boundaries are written out; the complex holds their transposes.
+    """
     d1 = IntMatrix.from_rows([[-1, 1, 0], [1, -1, 0]])
     d2 = IntMatrix.from_rows([[1, 1], [1, 1], [1, -1]])
-    return ChainComplex("homological", (("v", "w"), ("a", "b", "c"), ("U", "L")), (d1, d2))
+    return ChainComplex("homological", (("v", "w"), ("a", "b", "c"), ("U", "L")), (transpose(d1), transpose(d2)))
 
 
 def test_chain_and_cochain_smith_diagonals_agree(pipelines):

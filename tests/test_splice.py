@@ -142,11 +142,8 @@ def test_claim_table_transcribes_the_six_stated_reads(pipelines):
 
 
 def kernel_cokernel_cochains():
-    """Ranks 1, 1, 2, 1 with coboundaries d1 = (2, 0) and d2 = (0 1).
-
-    The maps are held as boundaries, so each coboundary is stored transposed.
-    """
-    maps = (IntMatrix.zeros(1, 1), IntMatrix.from_rows([[2, 0]]), IntMatrix.from_rows([[0], [1]]))
+    """Ranks 1, 1, 2, 1 with coboundaries d1 = (2, 0) and d2 = (0 1), stored as they are."""
+    maps = (IntMatrix.zeros(1, 1), IntMatrix.from_rows([[2], [0]]), IntMatrix.from_rows([[0, 1]]))
     return ChainComplex("cohomological", (("a",), ("b",), ("c", "d"), ("e",)), maps)
 
 
@@ -203,7 +200,7 @@ def test_assembled_complexes_compose_to_zero(pipelines):
         for length in (1, 2, 3, 4):
             assembled = splice(data.sources, length).assembled
             for k in range(13):
-                assert assembled.map_between(k).mul(assembled.map_between(k + 1)).is_zero()
+                assert assembled.map_between(k + 1).mul(assembled.map_between(k)).is_zero()
 
 
 def test_degree_layout_bijection(pipelines):
@@ -289,7 +286,7 @@ def test_homological_splice(pipelines):
     spliced = splice((data.poset_chain, data.relative_chain), 3)
     assert spliced.assembled.direction == "homological"
     for k in range(10):
-        assert spliced.assembled.map_between(k).mul(spliced.assembled.map_between(k + 1)).is_zero()
+        assert spliced.assembled.map_between(k + 1).mul(spliced.assembled.map_between(k)).is_zero()
 
 
 def test_closed_form_matches_assembled_complex(pipelines):
