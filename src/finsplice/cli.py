@@ -3,8 +3,9 @@
 Exit codes: 0 success (a formula mismatch is a finding, not a failure),
 2 input errors (unreadable or invalid space files, and a `fixtures export`
 path that cannot be written), 3 usage errors (bad flags, unknown fixtures,
-zero length), 4 internal errors (any other exception, reported as one
-line on stderr instead of a traceback).
+not exactly one of `--fixture`, `--input` and `--random`, `--random` below
+1, zero `--length`, negative `--max-degree`), 4 internal errors (any other
+exception, reported as one line on stderr instead of a traceback).
 
 The argument parser is built once per process, on the first `main` call,
 and shared by every later call; each call parses into a fresh namespace,

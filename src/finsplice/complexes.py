@@ -113,9 +113,10 @@ class ChainComplex(Record):
     directions maps[i] is the coboundary from degree i to degree i+1, of
     shape dim(i+1) x dim(i); a homological complex reads it transposed as
     its boundary from degree i+1 to i.  Ranks and Smith diagonals do not
-    change under transposition, so of the group readers only
-    `SmithTable.group` and `spliced_cohomology`, which tell a kernel from a
-    cokernel, read the direction.  basis[k] lists the degree-k basis
+    change under transposition, so the group readers name the maps at
+    degree k by their place, maps[k] above and maps[k-1] below, and only
+    `SmithTable.group`, which takes the torsion from the one entering
+    degree k, reads the direction.  basis[k] lists the degree-k basis
     elements, faces for the complexes made here.  Built through
     `checked_complex`, its maps compose to zero and its top degree is
     nonempty.  `smith` assumes both the coboundary layout and maps that

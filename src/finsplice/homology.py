@@ -8,9 +8,9 @@ group: kernels, cokernels and kernel modulo image alike.
 Every complex holds its maps as coboundaries, dim(i+1) x dim(i) (see
 `complexes`); a chain complex reads them transposed, and its cochain
 complex shares them.  A matrix and its transpose have the same Smith
-diagonal, so chain and cochain tables are computed the same way; the
-direction only tells `SmithTable.group` which map leaves a degree and
-which enters.
+diagonal, so chain and cochain tables are computed the same way.
+`SmithTable.group` names the maps at degree k by their place, maps[k]
+above and maps[k-1] below; the direction only tells it which one enters.
 
 `smith_normal_form` is the one Smith routine: it reduces a column-sparse
 map by its lowest entries over Z, each +-1 low giving a 1 on the
@@ -240,14 +240,18 @@ class SmithTable(NamedTuple):
         Both directions take this one route.
 
         The Z/2 projective plane (two vertices, three edges, two faces), its
-        coboundaries from vertices to edges and from edges to faces:
+        coboundaries from vertices to edges and from edges to faces.  The
+        chain reads H_1 = Z/2 from the map above degree 1, the cochain H^2 =
+        Z/2 from the map below degree 2:
 
-        >>> from finsplice.complexes import HOMOLOGICAL
+        >>> from finsplice.complexes import HOMOLOGICAL, cochain
         >>> d0 = IntMatrix.from_rows([[-1, 1], [1, -1], [0, 0]])
         >>> d1 = IntMatrix.from_rows([[1, 1, 1], [1, 1, -1]])
         >>> rp2 = ChainComplex(HOMOLOGICAL, ((("v",), ("w",)), (("a",), ("b",), ("c",)), (("U",), ("L",))), (d0, d1))
         >>> SmithTable.of(rp2).diagonals
         ((1,), (1, 2))
+        >>> str(SmithTable.of(rp2).group(1)), str(SmithTable.of(cochain(rp2)).group(2))
+        ('Z/2', 'Z/2')
         """
         diagonals = []
         cleared: set[int] = set()
@@ -257,21 +261,22 @@ class SmithTable(NamedTuple):
             diagonals.append(diagonal)
         return cls(complex_.direction, tuple(len(faces) for faces in complex_.basis), tuple(diagonals))
 
-    def group(self, k: int, outgoing: bool = True, incoming: bool = True) -> GroupPresentation:
-        """Kernel of the outgoing map modulo the image of the incoming one at degree k.
+    def group(self, k: int, above: bool = True, below: bool = True) -> GroupPresentation:
+        """The group at degree k keeping maps[k] above it and maps[k-1] below it as flagged.
 
-        Free rank is dim(k) minus both ranks, torsion the invariant factors
-        above 1 of the incoming map.  Leaving a map out gives a kernel or a
+        Free rank is dim(k) minus the kept maps' ranks, torsion the
+        invariant factors above 1 of the kept map into degree k: the one
+        above for a chain complex, below for a cochain complex.  Only here
+        is the direction read.  Leaving a map out gives a kernel or a
         cokernel.  Degrees outside the support are trivial.
         """
         if not 0 <= k < len(self.dims):
             return TRIVIAL_GROUP
-        below = self.diagonals[k - 1] if k > 0 else ()
-        above = self.diagonals[k] if k < len(self.diagonals) else ()
-        out, into = (below, above) if self.direction == HOMOLOGICAL else (above, below)
-        out, into = out if outgoing else (), into if incoming else ()
-        rank = self.dims[k] - len(out) - len(into)
+        up = self.diagonals[k] if above and k < len(self.diagonals) else ()
+        down = self.diagonals[k - 1] if below and k > 0 else ()
+        rank = self.dims[k] - len(up) - len(down)
         assert rank >= 0
+        into = up if self.direction == HOMOLOGICAL else down
         return GroupPresentation(rank, tuple(d for d in into if d > 1))
 
 

@@ -7,12 +7,13 @@ map between two blocks is zero when they come from distinct sources and
 the source's own map otherwise.  So the assembled sequence is again a
 complex, and with a single source the splice is the identity.
 
-Each spliced group is thus a group, kernel or cokernel of one source map,
-read from the sources' Smith tables whatever the length.  The closed-form
-table claimed for the length-3 splice of a poset-part cochain complex with
-a relative cochain complex is read the same way, degree by degree, so the
-direct and the claimed groups are two aligned tuples.  Disagreements are
-findings, not errors; the comparison report states both sides verbatim.
+Each spliced group is thus one source's group at one degree, a seam
+dropping the map above it, below it or both, read from the sources'
+Smith tables whatever the length.  The closed-form table claimed for the
+length-3 splice of a poset-part cochain complex with a relative cochain
+complex is read the same way, degree by degree, so the direct and the
+claimed groups are two aligned tuples.  Disagreements are findings, not
+errors; the comparison report states both sides verbatim.
 """
 
 from __future__ import annotations
@@ -32,30 +33,22 @@ class NoSources(ValueError):
     pass
 
 
-class Block(NamedTuple):
-    """One run of n consecutive degrees drawn from a single source."""
-
-    source: int
-    source_start: int
-    spliced_start: int
-    span: int
-
-
 class SplicedComplex(NamedTuple):
     sources: tuple[ChainComplex, ...]
     length: int
-    blocks: tuple[Block, ...]
 
     @property
     def assembled(self) -> ChainComplex:
-        """The spliced complex itself, built block by block; tests use it as the oracle."""
+        """The spliced complex itself, built block by block as `splice` lays it out; tests use it as the oracle."""
+        n, s = abs(self.length), len(self.sources)
+        rounds = max((c.top_degree + n) // n for c in self.sources)
         basis: list[tuple[tuple[str, ...], ...]] = []
         maps: list[IntMatrix] = []
-        for i, block in enumerate(self.blocks):
-            source = self.sources[block.source]
-            if i and block.source != self.blocks[i - 1].source:  # the seam between distinct sources
-                maps[-1] = IntMatrix.zeros(source.dim(block.source_start), len(basis[-1]))
-            for degree in range(block.source_start, block.source_start + block.span):
+        for k in range(rounds * s):
+            source, start = self.sources[k % s], k // s * n
+            if k and s > 1:  # the seam between distinct sources
+                maps[-1] = IntMatrix.zeros(source.dim(start), len(basis[-1]))
+            for degree in range(start, start + n):
                 basis.append(source.basis[degree] if degree <= source.top_degree else ())
                 maps.append(source.map_between(degree))
         return checked_complex(self.sources[0].direction, basis, maps)
@@ -77,10 +70,7 @@ def splice(sources: Sequence[ChainComplex], length: int) -> SplicedComplex:
     direction = srcs[0].direction
     if any(c.direction != direction for c in srcs):
         raise ValueError("all sources must share a direction")
-    n, s = length, len(srcs)
-    rounds = max((c.top_degree + n) // n for c in srcs)
-    blocks = tuple(Block(k % s, k // s * n, k * n, n) for k in range(rounds * s))
-    return SplicedComplex(srcs, length, blocks)
+    return SplicedComplex(srcs, length)
 
 
 def splice_negative(sources: Sequence[ChainComplex], length: int) -> SplicedComplex:
@@ -101,24 +91,22 @@ def spliced_cohomology(spliced: SplicedComplex, max_degree: int) -> tuple[GroupP
 
     Degree k*n + r is degree floor(k/s)*n + r of source k mod s.  Only the
     seams between blocks of distinct sources are zero maps, and with two or
-    more sources every seam is one: r = 0 gives, for cochains, the kernel of
-    the outgoing map, r = n-1 the cokernel of the incoming one, and n = 1
-    the free module.  A single source keeps every map, so its groups are
-    its own.
+    more sources every seam is one: r = 0 drops the map below, r = n-1 the
+    map above, and n = 1 both, leaving the free module.  A single source
+    keeps every map, so its groups are its own.
     """
     n, s = abs(spliced.length), len(spliced.sources)
     groups = []
     for degree in range(max_degree + 1):
         k, r = divmod(degree, n)
         table = spliced.sources[k % s].smith
-        keep = (r < n - 1 or s == 1, r > 0 or s == 1)  # the maps to the next and from the previous degree
-        outgoing, incoming = keep if table.direction == COHOMOLOGICAL else keep[::-1]
-        groups.append(table.group(k // s * n + r, outgoing, incoming))
+        groups.append(table.group(k // s * n + r, above=r < n - 1 or s == 1, below=r > 0 or s == 1))
     return tuple(groups)
 
 
 # Row j gives the claimed group at degree 6p + j: the source (0 for complex
-# 1), its degree less 3p, and whether its outgoing and incoming maps are kept.
+# 1), its degree d less 3p, and whether maps[d] above and maps[d-1] below
+# are kept; for cochains, the maps out of and into degree d.
 CLAIM_TABLE = (
     (0, 0, True, True),  # H^{3p}(C1)
     (0, 2, False, True),  # coker(C1 into 3p+2)
@@ -144,8 +132,8 @@ def theorem_claimed_groups(
     groups = []
     for degree in range(max_degree + 1):
         p, j = divmod(degree, 6)
-        source, offset, outgoing, incoming = CLAIM_TABLE[j]
-        groups.append(tables[source].group(3 * p + offset, outgoing, incoming))
+        source, offset, above, below = CLAIM_TABLE[j]
+        groups.append(tables[source].group(3 * p + offset, above, below))
     return tuple(groups)
 
 

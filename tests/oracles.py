@@ -5,19 +5,25 @@ own route (the relation as pairs, closures, the poset part's complex
 under the strict order, subcomplex inclusion, Euler
 characteristics, face labels and the `finsplice-complex/1` form, summed
 sparse columns, transposes, dense products, whole-matrix Smith forms with
-their transforms, the large-length limits of a splice), so the tests can
-set the two against each other.  `all_match` reads a comparison report for
-the tests that expect every degree to match; `rp2_face_poset` writes the
+their transforms, groups from sympy's invariant factors, the block layout
+and the large-length limits of a splice), so the tests can set the two
+against each other.  `all_match` reads a comparison report for the tests
+that expect every degree to match; `rp2_face_poset` writes the
 projective-plane space files whose groups carry torsion.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from finsplice import ChainComplex, ComparisonReport, FiniteSpace, IntMatrix, Preorder, SimplicialComplex, all_groups
-from finsplice import order_complex, splice, splice_negative, spliced_cohomology, strictify
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
+
+from finsplice import ChainComplex, ComparisonReport, FiniteSpace, GroupPresentation, IntMatrix, Preorder
+from finsplice import SimplicialComplex, SplicedComplex, all_groups, order_complex, splice, splice_negative
+from finsplice import spliced_cohomology, strictify
 from finsplice.cli import escape_names
 from finsplice.complexes import COHOMOLOGICAL, HOMOLOGICAL
 from finsplice.homology import _diagonalize
@@ -160,6 +166,49 @@ def smith_transforms(matrix: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, Int
 def dense_diagonals(complex_: ChainComplex) -> tuple[tuple[int, ...], ...]:
     """The whole-matrix dense Smith diagonal of each map on its own, in any layout."""
     return tuple(smith_transforms(m)[0] for m in complex_.maps)
+
+
+def dense_group(complex_: ChainComplex, k: int, above: bool = True, below: bool = True) -> GroupPresentation:
+    """The group at degree k with maps[k] (above) and maps[k-1] (below) kept as flagged, by sympy.
+
+    Each map is oriented as the complex's direction reads it: a chain
+    complex's boundaries are the transposes of the stored maps, so
+    transpose(maps[k]) enters degree k from k+1 and transpose(maps[k-1])
+    leaves it; a cochain complex's coboundaries are the stored maps, so
+    maps[k-1] enters and maps[k] leaves.  Free rank is dim(k) less the
+    kept maps' ranks, torsion the invariant factors above 1 of the kept
+    map that enters.  No code is shared with `SmithTable`.
+    """
+    if complex_.direction == HOMOLOGICAL:
+        into, out = transpose(complex_.map_between(k)), transpose(complex_.map_between(k - 1))
+        keep_into, keep_out = above, below
+    else:
+        into, out = complex_.map_between(k - 1), complex_.map_between(k)
+        keep_into, keep_out = below, above
+    assert into.rows == out.cols == complex_.dim(k)
+    factors_into = sympy_invariant_factors(into) if keep_into else ()
+    factors_out = sympy_invariant_factors(out) if keep_out else ()
+    rank = complex_.dim(k) - len(factors_into) - len(factors_out)
+    return GroupPresentation(rank, tuple(d for d in factors_into if d > 1))
+
+
+@cache
+def sympy_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
+    """The nonzero invariant factors by sympy, which shares no code with the program's Smith routine.
+
+    Kept per matrix: `dense_group` reads each map at up to four flag pairs.
+    """
+    return tuple(int(d) for d in invariant_factors(Matrix(m.rows, m.cols, sum(m.to_lists(), [])), domain=ZZ) if d)
+
+
+def splice_blocks(spliced: SplicedComplex) -> list[tuple[int, int, int]]:
+    """(source, source start, spliced start) of each block: block k reads source k mod s from degree floor(k/s)*n.
+
+    Blocks run until every source is past its top degree.
+    """
+    n, s = abs(spliced.length), len(spliced.sources)
+    rounds = max(-(-(c.top_degree + 1) // n) for c in spliced.sources)
+    return [(k % s, k // s * n, k * n) for k in range(rounds * s)]
 
 
 def all_match(report: ComparisonReport) -> bool:

@@ -540,23 +540,28 @@ def test_the_benchmark_tracer_hooks_read_what_the_program_has(capsys):
 
     A traced run of each command gives the untraced bytes, binds every
     name, and counts the zero maps, the map nonzeros and the Smith calls.
+    A positive length goes through `cli.splice`, a negative one through
+    `cli.splice_negative`, and each spliced run counts zero maps.
     """
     commands = [
+        ("spliced", "--length", "3", "--verify-theorem"),
         ("spliced", "--length", "-3", "--verify-theorem"),
         ("homology", "--theory", "cohomology"),
         ("decompose",),
     ]
     instrumentation = _benchmark_tracing().Instrumentation(finsplice)
+    counts = instrumentation.tracer.counts
     for command in commands:
         argv = (*command, "--fixture", "PSEUDO_S1_DUP", "--format", "json")
         untraced = run(capsys, *argv)
+        zero_maps = counts["splice.zero_maps"]
         with instrumentation.instrumented():
             traced = run(capsys, *argv)
         assert traced == untraced
         assert untraced[0] == 0
         assert instrumentation.missing == []
-    counts = instrumentation.tracer.counts
-    assert counts["splice.zero_maps"] > 0
+        if command[0] == "spliced":
+            assert counts["splice.zero_maps"] > zero_maps
     assert counts["complexes.map_nnz"] > 0
     assert counts["homology.snf_calls"] > 0
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsplice import (
-    ChainComplex,
     FIXTURES,
     INDISC2,
     IntMatrix,
@@ -30,11 +29,10 @@ from finsplice import (
     strictify,
 )
 from finsplice.complexes import COHOMOLOGICAL, HOMOLOGICAL, checked_complex
-from finsplice.homology import SmithTable
 from finsplice.io import space_from_dict
 from oracles import (
     complex_to_dict,
-    dense_diagonals,
+    dense_group,
     dimension,
     euler_characteristic,
     faces,
@@ -431,33 +429,29 @@ def reference_relative_maps(ambient, sub):
 
 
 def reference_cochain(chain):
-    """The dual with explicitly transposed maps, the boundaries themselves.
+    """The dual Hom(C, Z) built explicitly: each coboundary the transpose of the boundary one degree up.
 
-    Each boundary composes to zero with the next, checked here rather than
-    by `checked_complex`, which takes the coboundary layout.
+    The boundaries are the transposes of the chain's stored maps; each
+    composes to zero with the next, checked here, and `checked_complex`
+    checks the coboundaries.
     """
-    maps = tuple(map(transpose, chain.maps))
-    for first, second in zip(maps, maps[1:]):
+    boundaries = tuple(map(transpose, chain.maps))
+    for first, second in zip(boundaries, boundaries[1:]):
         assert first.mul(second).is_zero()
-    return ChainComplex(COHOMOLOGICAL, chain.basis, maps)
+    return checked_complex(COHOMOLOGICAL, chain.basis, tuple(map(transpose, boundaries)))
 
 
 def dense_groups(complex_):
-    """Groups read from the dense Smith diagonal of each map on its own.
-
-    `SmithTable.of` clears columns by the rule that consecutive coboundaries
-    compose to zero, which boundaries do not in that order; this reads
-    any layout.
-    """
-    table = SmithTable(complex_.direction, tuple(map(len, complex_.basis)), dense_diagonals(complex_))
-    return tuple(table.group(k) for k in range(len(table.dims)))
+    """Groups at every degree by `dense_group`, from sympy's invariant factors of each map on its own."""
+    return tuple(dense_group(complex_, k) for k in range(len(complex_.basis)))
 
 
 def assert_cochain_shares_maps(cc):
-    """The cochain holds the chain's maps, and its groups are those of the explicit transposes."""
+    """The cochain holds the chain's maps, which are the explicit dual's, and its groups are the dense ones."""
     dual, reference = cochain(cc), reference_cochain(cc)
     assert (dual.direction, dual.basis) == (reference.direction, reference.basis)
     assert dual.maps is cc.maps
+    assert dual.maps == reference.maps
     assert all_groups(dual) == dense_groups(reference)
 
 

@@ -3,8 +3,6 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import ZZ, Matrix
-from sympy.matrices.normalforms import invariant_factors
 
 from finsplice import (
     FIXTURES,
@@ -28,7 +26,16 @@ from finsplice import homology
 from finsplice.complexes import HOMOLOGICAL
 from finsplice.homology import SmithTable
 from finsplice.io import space_from_dict
-from oracles import dense_diagonals, from_columns, identity, rp2_face_poset, smith_transforms, transpose
+from oracles import (
+    dense_diagonals,
+    dense_group,
+    from_columns,
+    identity,
+    rp2_face_poset,
+    smith_transforms,
+    sympy_invariant_factors,
+    transpose,
+)
 from test_spaces import blown_up_fixtures
 from test_splice import kernel_cokernel_cochains
 
@@ -175,11 +182,6 @@ def test_snf_without_transforms_matches_oracles(m):
     assert diagonal == smith_normal_form(m).diagonal == smith_transforms(m)[0]
 
 
-def sympy_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    """The nonzero invariant factors by sympy, which shares no code with the program's Smith routine."""
-    return tuple(int(d) for d in invariant_factors(Matrix(m.rows, m.cols, sum(m.to_lists(), [])), domain=ZZ) if d)
-
-
 small_integer_matrices = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
     lambda shape: st.lists(
         st.lists(st.integers(-6, 6), min_size=shape[1], max_size=shape[1]),
@@ -213,6 +215,27 @@ def test_projective_plane_torsion_matches_sympy_invariant_factors(variant, which
     assert complex_.smith.diagonals == expected
     assert cochain(complex_).smith.diagonals == expected
     assert any(m and n for m, n in blocks)
+
+
+def test_group_reads_torsion_from_the_map_the_dense_oracle_orients_into_the_degree():
+    """`SmithTable.group` against `dense_group` for every pair of kept maps, on complexes with torsion.
+
+    Which kept map gives the torsion depends on the direction, and shows
+    only when a map is dropped, so each flag pair is read at every degree
+    and one past the top, on the chain complexes of the projective planes
+    and on their cochains.
+    """
+    cases = with_torsion = 0
+    for variant in ("plain", "12-doubled", "cone-doubled"):
+        data = build_pipeline(space_from_dict(rp2_face_poset(variant)))
+        for chain in (data.poset_chain, data.ambient_chain, data.relative_chain):
+            for complex_ in (chain, cochain(chain)):
+                for k, above, below in itertools.product(range(complex_.top_degree + 2), (True, False), (True, False)):
+                    group = complex_.smith.group(k, above, below)
+                    assert group == dense_group(complex_, k, above, below), (variant, complex_.direction, k)
+                    cases += 1
+                    with_torsion += bool(group.torsion)
+    assert (cases, with_torsion) == (288, 24)
 
 
 def _layered_with_twin():

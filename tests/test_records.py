@@ -27,7 +27,6 @@ from finsplice import (
 )
 from finsplice.homology import SmithTable
 from finsplice.io import space_from_dict
-from finsplice.splice import Block
 from oracles import relation_pairs
 
 
@@ -44,7 +43,6 @@ FACTORIES = {
     "GroupPresentation": (lambda: GroupPresentation(1, (2,)), "rank"),
     "SmithTable": (lambda: SmithTable.of(build_pipeline(PSEUDO_S1).poset_chain), "diagonals"),
     "PipelineData": (lambda: build_pipeline(PSEUDO_S1_DUP), "t0"),
-    "Block": (lambda: Block(0, 0, 0, 3), "span"),
     "ComparisonRow": (lambda: _report().rows[1], "verdict"),
     "ComparisonReport": (_report, "rows"),
     "Preorder": (lambda: Preorder(("a", "b"), (0b11, 0b10)), "up"),
