@@ -12,7 +12,6 @@ group table.
 from .complexes import (
     ChainComplex,
     NotAPoset,
-    NotASubcomplex,
     SimplicialComplex,
     chain_complex,
     cochain,

@@ -139,14 +139,6 @@ def _decomposition_block(data: PipelineData) -> dict:
     }
 
 
-def _sizes_block(data: PipelineData) -> dict:
-    return {
-        "poset": [data.poset_chain.dim(k) for k in range(data.poset_chain.top_degree + 1)],
-        "ambient": [data.ambient_chain.dim(k) for k in range(data.ambient_chain.top_degree + 1)],
-        "relative": [data.relative_chain.dim(k) for k in range(data.relative_chain.top_degree + 1)],
-    }
-
-
 def _warning_lines(data: PipelineData) -> list[str]:
     return [f"warning: {POSET_WARNING}"] if data.t0 else []
 
@@ -158,7 +150,7 @@ def cmd_decompose(args, parser: _Parser) -> int:
         "command": "decompose",
         "space": _space_block(data),
         "decomposition": _decomposition_block(data),
-        "complex_sizes": _sizes_block(data),
+        "complex_sizes": data.complex_sizes,
     }
     if args.format == "json":
         sys.stdout.write(dumps(report))
@@ -175,11 +167,7 @@ def cmd_decompose(args, parser: _Parser) -> int:
 
 def cmd_homology(args, parser: _Parser) -> int:
     data = build_pipeline(_resolve_space(args, parser))
-    chain = {
-        "poset": data.poset_chain,
-        "ambient": data.ambient_chain,
-        "relative": data.relative_chain,
-    }[args.which]
+    chain = getattr(data, f"{args.which}_chain")
     if args.theory == "cohomology":
         chain = cochain(chain)
     groups = all_groups(chain)
@@ -189,7 +177,7 @@ def cmd_homology(args, parser: _Parser) -> int:
         "space": _space_block(data),
         "complex": args.which,
         "theory": args.theory,
-        "complex_sizes": _sizes_block(data),
+        "complex_sizes": data.complex_sizes,
         "groups": [g.as_dict() for g in groups],
     }
     if args.format == "json":
@@ -222,7 +210,7 @@ def cmd_spliced(args, parser: _Parser) -> int:
         "command": "spliced",
         "space": _space_block(data),
         "decomposition": _decomposition_block(data),
-        "complex_sizes": _sizes_block(data),
+        "complex_sizes": data.complex_sizes,
         "length": args.length,
         "max_degree": args.max_degree,
         "groups": [g.as_dict() for g in direct],

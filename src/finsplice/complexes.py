@@ -8,20 +8,22 @@ vertex-name tuples, as the basis.  Chain complexes carry column-sparse
 integer matrices, one layout for both directions: maps[i] is the
 coboundary from degree i to degree i+1, one column per face of degree i
 listing the faces of degree i+1 that hold it, with their signs.  The
-relative complex keeps the faces outside the subcomplex, their columns
-and their rows.  Both builders write each column already canonical
-(sorted rows, no zeros), so no matrix is re-summed.  A homological
-complex reads its maps transposed, as boundaries; the cochain complex,
-the dual Hom(C, Z), holds its chain's maps as they are (see `cochain`).
+complex relative to a set of points has the faces that hold a point
+outside it; the faces on those points alone span a full subcomplex.  Both
+builders go through one loop, `_coboundaries`, that writes each column
+already canonical (sorted rows, no zeros), so no matrix is re-summed.  A
+homological complex reads its maps transposed, as boundaries; the cochain
+complex, the dual Hom(C, Z), holds its chain's maps as they are (see
+`cochain`).
 
 `ChainComplex` and `SimplicialComplex` check nothing; outside input is
 checked in `io` and `spaces`.  The builders check only a library caller's
 arguments: `order_complex` raises `NotAPoset` on chosen points that are
-repeated or twins, `relative_chain_complex` raises `NotASubcomplex`, and
-it and `cochain` reject a complex of the wrong direction.  The one check
-on the program's own output, that consecutive differentials compose to
-zero, is in `checked_complex`, which chain, relative and spliced
-complexes go through; a cochain shares its chain's maps and check.
+repeated or twins, and `cochain` rejects a complex of the wrong
+direction.  The one check on the program's own output, that consecutive
+differentials compose to zero, is in `checked_complex`, which chain,
+relative and spliced complexes go through; a cochain shares its chain's
+maps and check.
 """
 
 from __future__ import annotations
@@ -46,10 +48,6 @@ class NotAPoset(ValueError):
     def __init__(self, x: str, y: str):
         self.witness = (x, y)
         super().__init__(f"relation is not antisymmetric: {x} <= {y} and {y} <= {x}")
-
-
-class NotASubcomplex(ValueError):
-    pass
 
 
 class SimplicialComplex(NamedTuple):
@@ -128,11 +126,6 @@ class ChainComplex(Record):
     __slots__ = ("direction", "basis", "maps", "__dict__")
     _fields = ("direction", "basis", "maps")
 
-    def __init__(self, direction: str, basis: tuple[tuple[tuple[str, ...], ...], ...], maps: tuple[IntMatrix, ...]):
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "maps", maps)
-
     @property
     def top_degree(self) -> int:
         return len(self.basis) - 1
@@ -183,57 +176,46 @@ def checked_complex(
 
 
 def chain_complex(complex_: SimplicialComplex) -> ChainComplex:
-    """Simplicial chain complex over the integers.
+    """Simplicial chain complex over the integers: the basis is `complex_.faces_by_dim` itself."""
+    return _coboundaries(complex_.faces_by_dim)
 
-    Degree-k basis elements are the k-faces, in the complex's sorted order:
-    the basis is `complex_.faces_by_dim` itself.  The boundary of a face is
-    the alternating sum over deleted vertices: `combinations(face, k)`
-    lists the facets from the last vertex deleted to the first, so their
-    signs run (-1)^k down to (-1)^0.  Each k-face appends itself, with
-    that sign, to the coboundary column of each of its facets, sharing
-    its two (row, +-1) pairs; the faces come in sorted order and meet each
-    facet once, so every column comes out sorted with no entry summed.
+
+def relative_chain_complex(ambient: SimplicialComplex, points: Iterable[str]) -> ChainComplex:
+    """Quotient of the ambient chain complex by the full subcomplex on the given points.
+
+    Degree-k basis elements are the ambient k-faces holding a point outside
+    `points`, in the ambient sorted order.  Every coface of such a face holds
+    that point too, so the relative faces are closed upward, and a facet of
+    a relative face either is relative or lies in the subcomplex, where
+    `_coboundaries` skips it.  No points give `chain_complex(ambient)`, all
+    of its vertices the zero complex.
+    """
+    inside = frozenset(points)
+    return _coboundaries([tuple(f for f in faces if not inside.issuperset(f)) for faces in ambient.faces_by_dim])
+
+
+def _coboundaries(basis: Sequence[tuple[tuple[str, ...], ...]]) -> ChainComplex:
+    """The homological complex on the basis, faces by degree, each degree sorted and closed upward.
+
+    The boundary of a face is the alternating sum over deleted vertices:
+    `combinations(face, k)` lists the facets from the last vertex deleted to
+    the first, so their signs run (-1)^k down to (-1)^0.  Each k-face
+    appends itself, with that sign, to the coboundary column of each of its
+    facets in the basis, sharing its two (row, +-1) pairs; a facet outside
+    the basis lands in a spare last column that is dropped.  The faces come
+    in sorted order and meet each facet once, so every column comes out
+    sorted with no entry summed.
     """
     maps = []
-    for k in range(1, len(complex_.faces_by_dim)):
-        rows = {face: i for i, face in enumerate(complex_.faces_by_dim[k - 1])}
+    for k in range(1, len(basis)):
+        rows = {face: i for i, face in enumerate(basis[k - 1])}
         odd = [i % 2 for i in range(k, -1, -1)]
-        columns: list[list[tuple[int, int]]] = [[] for _ in rows]
-        for j, face in enumerate(complex_.faces_by_dim[k]):
+        columns: list[list[tuple[int, int]]] = [[] for _ in range(len(rows) + 1)]
+        for j, face in enumerate(basis[k]):
             entries = ((j, 1), (j, -1))
             for facet, sign in zip(combinations(face, k), odd):
-                columns[rows[facet]].append(entries[sign])
-        maps.append(IntMatrix(len(complex_.faces_by_dim[k]), len(rows), tuple(map(tuple, columns))))
-    return checked_complex(HOMOLOGICAL, complex_.faces_by_dim, maps)
-
-
-def relative_chain_complex(ambient: ChainComplex, sub: ChainComplex) -> ChainComplex:
-    """Quotient of the ambient chain complex by a subcomplex.
-
-    Degree-k basis elements are the ambient faces not in the subcomplex;
-    differentials are the ambient ones with the subcomplex coordinates
-    deleted: coboundary k keeps the columns of the kept k-faces and the
-    rows of the kept (k+1)-faces, renumbered in ascending order, so each
-    filtered column stays sorted and free of zeros.  The subcomplex is
-    contained in the ambient complex when, in each degree, as many ambient
-    faces lie in it as it has faces.
-    """
-    if ambient.direction != HOMOLOGICAL or sub.direction != HOMOLOGICAL:
-        raise ValueError("relative complexes are built from homological complexes")
-    keep: list[list[int]] = []
-    for k, ambient_faces in enumerate(ambient.basis):
-        sub_faces = set(sub.basis[k]) if k < len(sub.basis) else set()
-        keep.append([i for i, face in enumerate(ambient_faces) if face not in sub_faces])
-        if len(ambient_faces) - len(keep[k]) != len(sub_faces):
-            raise NotASubcomplex(f"degree {k} basis of the subcomplex is not contained in the ambient basis")
-    if len(sub.basis) > len(ambient.basis) and any(len(b) for b in sub.basis[len(ambient.basis):]):
-        raise NotASubcomplex("subcomplex has degrees beyond the ambient complex")
-    basis = tuple(tuple(faces[i] for i in kept) for faces, kept in zip(ambient.basis, keep))
-    maps = []
-    for k, m in enumerate(ambient.maps):
-        rows = {i: new for new, i in enumerate(keep[k + 1])}
-        columns = tuple([tuple([(rows[i], x) for i, x in m.columns[j] if i in rows]) for j in keep[k]])
-        maps.append(IntMatrix(len(rows), len(columns), columns))
+                columns[rows.get(facet, -1)].append(entries[sign])
+        maps.append(IntMatrix(len(basis[k]), len(rows), tuple(map(tuple, columns[:-1]))))
     return checked_complex(HOMOLOGICAL, basis, maps)
 
 

@@ -1,30 +1,33 @@
 """The canonical pipeline from a space to the two spliced sources.
 
-Builds, in order: the specialisation preorder, the poset/complementary
-decomposition, the two order complexes (poset part under <=, ambient
-under its strictification), the poset and ambient chain complexes, the
-relative complex of the ambient pair, and the two cochain complexes that
-feed the splicer.  On the representatives the preorder is a poset, so it
-equals its strict order there, and the poset part's complex is the
-subcomplex of the ambient one that the relative complex is taken
-against.  Each chain complex is built, and its d∘d checked, once; each
-map is stored as the coboundary the cochains read (see `complexes`).
+`build_pipeline` builds, in order: the specialisation preorder, the
+poset/complementary decomposition, and the two order complexes (poset
+part under <=, ambient under its strictification).  On the
+representatives the preorder is a poset, so it equals its strict order
+there, and the poset part's complex is the full subcomplex of the ambient
+one on the representatives.  The chain complexes of the poset part, of the
+ambient order and of the ambient order relative to the poset part, and
+the two cochain complexes that feed the splicer, are each built, and
+their d∘d checked, on first read; each map is stored as the coboundary
+the cochains read (see `complexes`).  The face counts give the complex
+sizes without building any of them.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import cached_property
+from itertools import zip_longest
 
 from .complexes import (
     ChainComplex,
-    SimplicialComplex,
     chain_complex,
     cochain,
     order_complex,
     relative_chain_complex,
 )
-from .orders import Decomposition, decompose, strictify
-from .spaces import FiniteSpace, Preorder, specialisation_preorder
+from .orders import decompose, strictify
+from .records import Record
+from .spaces import FiniteSpace, specialisation_preorder
 
 POSET_WARNING = (
     "input is already a poset; the spliced construction degenerates "
@@ -32,18 +35,53 @@ POSET_WARNING = (
 )
 
 
-class PipelineData(NamedTuple):
-    space: FiniteSpace
-    preorder: Preorder
-    decomposition: Decomposition
-    t0: bool
-    poset_complex: SimplicialComplex
-    ambient_complex: SimplicialComplex
-    poset_chain: ChainComplex
-    ambient_chain: ChainComplex
-    relative_chain: ChainComplex
-    poset_cochain: ChainComplex
-    relative_cochain: ChainComplex
+class PipelineData(Record):
+    """The built stages of one space; the chain and cochain complexes are built when first read.
+
+    The builders are called through this module's globals, so a caller that
+    rebinds `chain_complex`, `relative_chain_complex` or `cochain` here sees
+    every complex the pipeline builds.
+    """
+
+    __slots__ = ("space", "preorder", "decomposition", "poset_complex", "ambient_complex", "__dict__")
+    _fields = ("space", "preorder", "decomposition", "poset_complex", "ambient_complex")
+
+    @property
+    def t0(self) -> bool:
+        return not self.decomposition.complementary  # T0: every class is one point
+
+    @property
+    def complex_sizes(self) -> dict[str, list[int]]:
+        """Faces per degree of the poset, ambient and relative complexes, trailing empty degrees dropped.
+
+        The relative faces are the ambient faces outside the poset part's
+        complex, so their counts are the ambient less the poset counts.
+        """
+        poset, ambient = self.poset_complex.face_counts(), self.ambient_complex.face_counts()
+        relative = [a - p for a, p in zip_longest(ambient, poset, fillvalue=0)]
+        while relative and not relative[-1]:
+            relative.pop()
+        return {"poset": list(poset), "ambient": list(ambient), "relative": relative}
+
+    @cached_property
+    def poset_chain(self) -> ChainComplex:
+        return chain_complex(self.poset_complex)
+
+    @cached_property
+    def ambient_chain(self) -> ChainComplex:
+        return chain_complex(self.ambient_complex)
+
+    @cached_property
+    def relative_chain(self) -> ChainComplex:
+        return relative_chain_complex(self.ambient_complex, self.decomposition.representatives)
+
+    @cached_property
+    def poset_cochain(self) -> ChainComplex:
+        return cochain(self.poset_chain)
+
+    @cached_property
+    def relative_cochain(self) -> ChainComplex:
+        return cochain(self.relative_chain)
 
     @property
     def sources(self) -> tuple[ChainComplex, ChainComplex]:
@@ -53,21 +91,10 @@ class PipelineData(NamedTuple):
 def build_pipeline(space: FiniteSpace, policy: str = "least") -> PipelineData:
     preorder = specialisation_preorder(space)
     decomposition = decompose(preorder, policy)
-    poset_complex = order_complex(preorder, decomposition.representatives, relation="leq")
-    ambient_complex = order_complex(strictify(preorder), relation="leq")
-    poset_chain = chain_complex(poset_complex)
-    ambient_chain = chain_complex(ambient_complex)
-    relative_chain = relative_chain_complex(ambient_chain, poset_chain)
     return PipelineData(
-        space=space,
-        preorder=preorder,
-        decomposition=decomposition,
-        t0=not decomposition.complementary,  # T0: every class is one point
-        poset_complex=poset_complex,
-        ambient_complex=ambient_complex,
-        poset_chain=poset_chain,
-        ambient_chain=ambient_chain,
-        relative_chain=relative_chain,
-        poset_cochain=cochain(poset_chain),
-        relative_cochain=cochain(relative_chain),
+        space,
+        preorder,
+        decomposition,
+        order_complex(preorder, decomposition.representatives, relation="leq"),
+        order_complex(strictify(preorder), relation="leq"),
     )

@@ -1,10 +1,12 @@
 """Immutable records for the types a `NamedTuple` cannot hold.
 
-A `Record` subclass validates or derives in its own `__init__`, which sets
-each slot once through `object.__setattr__`.  `_fields` names the compared
-fields, in constructor order: equality, hashing, `repr` and pickling read
-them alone.  A value built on first read is a `functools.cached_property`,
-which needs `__dict__` among the slots.  Assignment raises `AttributeError`.
+The base `__init__` sets the `_fields` slots from the positional
+arguments, in order; a subclass that validates or derives does so in its
+own `__init__`, which sets each slot once through `object.__setattr__`.
+`_fields` names the compared fields, in constructor order: equality,
+hashing, `repr` and pickling read them alone.  A value built on first
+read is a `functools.cached_property`, which needs `__dict__` among the
+slots.  Assignment raises `AttributeError`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ from __future__ import annotations
 class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

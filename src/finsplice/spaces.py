@@ -128,9 +128,6 @@ class FiniteSpace(Record):
     __slots__ = ("preorder", "__dict__")
     _fields = ("preorder",)
 
-    def __init__(self, preorder: Preorder):
-        object.__setattr__(self, "preorder", preorder)
-
     @property
     def points(self) -> tuple[str, ...]:
         return self.preorder.points

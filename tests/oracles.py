@@ -8,8 +8,9 @@ sparse columns, transposes, dense products, whole-matrix Smith forms with
 their transforms, groups from sympy's invariant factors, the block layout
 and the large-length limits of a splice), so the tests can set the two
 against each other.  `all_match` reads a comparison report for the tests
-that expect every degree to match; `rp2_face_poset` writes the
-projective-plane space files whose groups carry torsion.
+that expect every degree to match; `rp2_face_poset` and
+`rp2_ordinal_sum` write the projective-plane space files whose groups
+carry torsion.
 """
 
 from __future__ import annotations
@@ -239,6 +240,22 @@ def rp2_face_poset(variant: str) -> dict:
         leq += [[o, face] for o in ("o", "o'") for face in points] + [["o", "o'"], ["o'", "o"]]
         points += ["o", "o'"]
     return {"points": points, "leq": leq}
+
+
+def rp2_ordinal_sum(doubled: bool) -> dict:
+    """A `leq` space document: every point of one projective-plane face poset lies below every point of a second copy.
+
+    The lower copy's points are the faces prefixed "l", the upper copy's
+    prefixed "u".  `doubled` adds "l1'", a twin of the lower vertex 1.
+    """
+    plain = rp2_face_poset("plain")
+    lower, upper = ["l" + x for x in plain["points"]], ["u" + x for x in plain["points"]]
+    leq = [[prefix + x, prefix + y] for prefix in "lu" for x, y in plain["leq"]]
+    leq += [[x, y] for x in lower for y in upper]
+    if doubled:  # the twin takes l1's relations through the closure
+        lower.append("l1'")
+        leq += [["l1", "l1'"], ["l1'", "l1"]]
+    return {"points": lower + upper, "leq": leq}
 
 
 class LengthTooSmall(ValueError):

@@ -93,8 +93,19 @@ def test_spliced_with_verification(capsys):
     assert "summary: 4 match / 2 mismatch / 0 uncovered" in out
 
 
-def test_spliced_builds_each_chain_complex_once(capsys, monkeypatch):
-    # The poset and ambient chains, then the relative one against the poset chain.
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        (("decompose",), []),
+        (("homology", "--complex", "poset"), ["chain_complex"]),
+        (("homology", "--complex", "ambient"), ["chain_complex"]),
+        (("homology", "--complex", "relative", "--theory", "cohomology"), ["relative_chain_complex"]),
+        (("spliced", "--length", "3", "--verify-theorem"), ["chain_complex", "relative_chain_complex"]),
+    ],
+    ids=["decompose", "homology-poset", "homology-ambient", "homology-relative", "spliced"],
+)
+def test_each_command_builds_only_the_chain_complexes_it_reads(capsys, monkeypatch, command, expected):
+    # The sizes come from face counts; each chain complex is built on its first read.
     calls = []
     for name in ("chain_complex", "relative_chain_complex"):
         def counting(*args, name=name, wrapped=getattr(pipeline, name)):
@@ -102,9 +113,9 @@ def test_spliced_builds_each_chain_complex_once(capsys, monkeypatch):
             return wrapped(*args)
 
         monkeypatch.setattr(pipeline, name, counting)
-    code, _, _ = run(capsys, "spliced", "--fixture", "PSEUDO_S1_DUP", "--length", "3", "--max-degree", "5")
+    code, _, _ = run(capsys, *command, "--fixture", "PSEUDO_S1_DUP", "--format", "json")
     assert code == 0
-    assert calls == ["chain_complex", "chain_complex", "relative_chain_complex"]
+    assert calls == expected
 
 
 def test_spliced_poset_input(capsys):

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from finsplice import (
     FIXTURES,
+    GroupPresentation,
     INDISC2,
     IntMatrix,
     NotAPoset,
-    NotASubcomplex,
     PSEUDO_S1,
     PSEUDO_S1_DUP,
     SIERP,
@@ -41,6 +41,7 @@ from oracles import (
     naive_product,
     relation_pairs,
     rp2_face_poset,
+    rp2_ordinal_sum,
     strict_poset_complex,
     transpose,
     zero_complex,
@@ -173,6 +174,23 @@ def test_relative_basis_is_the_faces_meeting_the_complementary_part(pipelines):
     assert slices > 1000
 
 
+def test_complex_sizes_are_the_built_dimensions(pipelines):
+    # The sizes are face counts, the relative ones the ambient less the poset
+    # counts with trailing zeros dropped; the built chains are the oracle.
+    rp2 = [space_from_dict(rp2_face_poset(variant)) for variant in ("plain", "12-doubled", "cone-doubled")]
+    blown_up = [from_preorder(preorder) for preorder in blown_up_fixtures()]
+    trimmed = empty = 0
+    for data in [*pipelines, *map(build_pipeline, [*FIXTURES.values(), *blown_up, *rp2])]:
+        sizes = data.complex_sizes
+        for name in ("poset", "ambient", "relative"):
+            chain = getattr(data, f"{name}_chain")
+            assert sizes[name] == [chain.dim(k) for k in range(chain.top_degree + 1)]
+        trimmed += 0 < len(sizes["relative"]) < len(sizes["ambient"])
+        empty += not sizes["relative"]
+    # Three corpus spaces lose a trailing relative degree; every T0 space has no relative face.
+    assert (trimmed, empty) == (3, 316)
+
+
 def test_single_vertex_chain_complex():
     sc = SimplicialComplex(("v",), ((("v",),),))
     cc = chain_complex(sc)
@@ -193,41 +211,53 @@ def test_relative_complex_of_dup(dup_pipeline):
 
 
 def test_relative_of_self_is_zero(dup_pipeline):
-    cc = dup_pipeline.ambient_chain
-    assert relative_chain_complex(cc, cc) == zero_complex("homological")
+    # Relative to all its vertices, every face lies in the subcomplex.
+    ambient = dup_pipeline.ambient_complex
+    assert relative_chain_complex(ambient, ambient.vertices) == zero_complex(HOMOLOGICAL)
 
 
 def test_relative_of_self_is_zero_with_several_differentials():
     # A 3-chain has a 2-simplex: trimming the all-empty basis must drop both differentials.
     preorder = preorder_from_relation(("a", "b", "c"), [("a", "b"), ("b", "c")])
-    cc = chain_complex(order_complex(preorder, relation="strict"))
-    assert len(cc.maps) == 2
-    assert relative_chain_complex(cc, cc) == zero_complex(HOMOLOGICAL)
+    sc = order_complex(preorder, relation="strict")
+    assert len(chain_complex(sc).maps) == 2
+    assert relative_chain_complex(sc, sc.vertices) == zero_complex(HOMOLOGICAL)
 
 
 def test_relative_of_empty_is_identity(dup_pipeline):
-    cc = dup_pipeline.ambient_chain
-    assert relative_chain_complex(cc, zero_complex("homological")) == cc
-
-
-def test_relative_rejects_non_subcomplex(dup_pipeline):
-    other = chain_complex(order_complex(specialisation_preorder(SIERP), relation="strict"))
-    with pytest.raises(NotASubcomplex):
-        relative_chain_complex(dup_pipeline.ambient_chain, other)
+    # Relative to no points, every face is kept.
+    ambient = dup_pipeline.ambient_complex
+    assert relative_chain_complex(ambient, ()) == chain_complex(ambient)
 
 
 def test_relative_chain_equals_the_route_through_a_second_subcomplex_chain(pipelines):
-    # The pipeline takes the relative complex against the poset chain; the
-    # route it replaced built a second chain complex from the strict subcomplex.
+    # The reference filter deletes the strict subcomplex's chain from the
+    # ambient chain; the pipeline builds the relative faces on their own.
     spaces = list(FIXTURES.values()) + [_layered_with_twin()]
     spaces += [space_from_dict(rp2_face_poset(variant)) for variant in ("plain", "12-doubled", "cone-doubled")]
     datas = pipelines[:100] + [build_pipeline(space) for space in spaces]
     for data in datas:
-        old = relative_chain_complex(data.ambient_chain, chain_complex(strict_poset_complex(data)))
+        ambient, sub = chain_complex(data.ambient_complex), chain_complex(strict_poset_complex(data))
         new = data.relative_chain
-        assert (new.direction, new.basis, new.maps) == (old.direction, old.basis, old.maps)
+        assert new.maps == tuple(reference_relative_maps(ambient, sub)[: len(new.maps)])
     # The cone over the doubled point puts the projective plane's Z/2 in the relative part.
     assert any(group.torsion == (2,) for group in all_groups(datas[-1].relative_chain))
+
+
+@pytest.mark.parametrize("doubled", [True, False])
+def test_rp2_ordinal_sum_carries_torsion_through_the_relative_route(doubled):
+    # Two projective planes, one below the other, join to RP2 * RP2, with
+    # H^4 = H^5 = Z/2.  The twin of a lower vertex has the link S^1 * RP2,
+    # which puts a Z/2 at relative H^5; without it the relative complex is zero.
+    data = build_pipeline(space_from_dict(rp2_ordinal_sum(doubled)))
+    points, faces = (63, 36945) if doubled else (62, 33123)
+    assert (len(data.space.points), sum(data.ambient_complex.face_counts())) == (points, faces)
+    z, z2, zero = GroupPresentation(1), GroupPresentation(0, (2,)), GroupPresentation(0)
+    assert all_groups(data.poset_cochain) == (z, zero, zero, zero, z2, z2)
+    assert all_groups(data.relative_cochain) == ((zero,) * 5 + (z2,) if doubled else ())
+    ambient = chain_complex(data.ambient_complex)
+    relative = data.relative_chain
+    assert relative.maps == tuple(reference_relative_maps(ambient, data.poset_chain)[: len(relative.maps)])
 
 
 def test_cochain_of_relative(dup_pipeline):
@@ -456,11 +486,14 @@ def assert_cochain_shares_maps(cc):
 
 
 def assert_canonical_construction(ambient_complex, sub_complex):
-    """Both builders give the reference matrices, and every cochain matches the transposed reference."""
+    """Both builders give the reference matrices, and every cochain matches the transposed reference.
+
+    The subcomplex is the full one on its vertices, the representatives.
+    """
     ambient, sub = chain_complex(ambient_complex), chain_complex(sub_complex)
     assert ambient == reference_chain_complex(ambient_complex)
     assert sub == reference_chain_complex(sub_complex)
-    relative = relative_chain_complex(ambient, sub)
+    relative = relative_chain_complex(ambient_complex, sub_complex.vertices)
     assert relative.maps == tuple(reference_relative_maps(ambient, sub)[: len(relative.maps)])
     for cc in (ambient, sub, relative):
         assert_cochain_shares_maps(cc)
