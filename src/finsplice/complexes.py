@@ -51,9 +51,8 @@ class NotAPoset(ValueError):
 
 
 class SimplicialComplex(NamedTuple):
-    """Faces by dimension, each sorted; `order_complex` makes them downward closed and vertex-covering."""
+    """Faces by dimension, each sorted; `order_complex` makes them downward closed."""
 
-    vertices: tuple[str, ...]
     faces_by_dim: tuple[tuple[tuple[str, ...], ...], ...]
 
     def face_counts(self) -> tuple[int, ...]:
@@ -86,14 +85,15 @@ def order_complex(
     chosen = preorder.mask_of(pts)
     repeated = preorder.mask_of(x for x, y in zip(pts, pts[1:]) if x == y)
     # The first pair of the sorted points related both ways starts at the
-    # least chosen point that is repeated or has a chosen twin in its class.
+    # least chosen point that is repeated or whose class row, the points
+    # with its up row, holds another chosen point.
     above = {}
     for i, x in enumerate(preorder.points):
         if not chosen >> i & 1:
             continue
         if repeated >> i & 1:
             raise NotAPoset(x, x)
-        twins = rel.up[i] & rel.down[i] & chosen & ~(1 << i)
+        twins = rel.same[i] & chosen & ~(1 << i)
         if twins:
             raise NotAPoset(x, rel.unmask(twins)[0])
         above[x] = rel.unmask(rel.up[i] & chosen & ~(1 << i))
@@ -101,7 +101,7 @@ def order_complex(
     while faces:
         faces_by_dim.append(tuple(faces))
         faces = [face + (y,) for face in faces for y in above[face[-1]]]
-    return SimplicialComplex(pts, tuple(faces_by_dim))
+    return SimplicialComplex(tuple(faces_by_dim))
 
 
 class ChainComplex(Record):

@@ -5,11 +5,11 @@ y <= x.  Choosing one representative per class yields the poset part, on
 which <= is antisymmetric; the remaining points form the complementary
 part, which in general is not a poset.
 
-Everything here is a word operation on the preorder's rows (up[i] holds
-the points above points[i], down[i] those below it): the class of
-points[i] is up[i] & down[i], the strict order keeps up[i] & ~down[i] plus
-the point itself, and the relation is a poset when every class is a single
-bit.
+Everything here is a word operation on the preorder's rows.  up[i] holds
+the points above points[i], and x ~ y exactly when their up rows are
+equal, so same[i], the points whose up row is up[i], is the class of
+points[i].  The strict order keeps up[i] & ~same[i] plus the point
+itself, and the relation is a poset when no two up rows are equal.
 """
 
 from __future__ import annotations
@@ -30,30 +30,24 @@ class Decomposition(NamedTuple):
 def strictify(preorder: Preorder) -> Preorder:
     """The partial order with x < y when x <= y holds one-way, plus equality.
 
-    Row i keeps the points above points[i] that are not also below it, and
-    its own bit.
+    Row i keeps the points above points[i] outside its class, and its own
+    bit.
     """
-    rows = (u & ~d | 1 << i for i, (u, d) in enumerate(zip(preorder.up, preorder.down)))
+    rows = (u & ~s | 1 << i for i, (u, s) in enumerate(zip(preorder.up, preorder.same)))
     return Preorder(preorder.points, rows)
 
 
 def equivalence_classes(preorder: Preorder) -> tuple[tuple[str, ...], ...]:
     """Partition into classes of mutually related points, sorted by least member.
 
-    The class of points[i] is the row up[i] & down[i].
+    The classes are the distinct class rows, met in point order.
     """
-    seen = 0
-    classes = []
-    for i, (u, d) in enumerate(zip(preorder.up, preorder.down)):
-        if not seen >> i & 1:
-            classes.append(preorder.unmask(u & d))
-            seen |= u & d
-    return tuple(classes)
+    return tuple(map(preorder.unmask, dict.fromkeys(preorder.same)))
 
 
 def is_poset(preorder: Preorder) -> bool:
-    """True when the relation is antisymmetric (the space is T0)."""
-    return all(u & d == 1 << i for i, (u, d) in enumerate(zip(preorder.up, preorder.down)))
+    """True when the relation is antisymmetric (the space is T0): no two up rows are equal."""
+    return len(set(preorder.up)) == len(preorder.up)
 
 
 def decompose(preorder: Preorder, policy: str = "least") -> Decomposition:

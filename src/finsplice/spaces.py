@@ -9,8 +9,10 @@ and `FiniteSpace.opens` lists the family for the writers.
 
 Subsets of the points are bitmasks over the sorted points, and a
 `Preorder` is one such row per point: its up-set, which is also the
-point's minimal open, kept with the transposed down-set rows.  Every
-layer that reads a preorder works on these rows with word operations;
+point's minimal open.  Two points are indistinguishable exactly when
+their up rows are equal, so each point's class row, derived once from
+that grouping, is kept beside them.  Every layer that reads a preorder
+works on these rows with word operations;
 (x, y) pairs appear only in relation input.  Names become bits in one
 place, `_mask`, against a name-to-position index; it alone raises
 `UnknownPoint`, and it reads names as given, never as their `str()`.
@@ -156,26 +158,27 @@ class Preorder(Record):
     """A reflexive transitive relation on sorted points, stored as bit rows.
 
     Bit j of up[i] is set when points[i] <= points[j], so up[i] is the
-    minimal open of points[i]; down is the transpose (bit j of down[i] when
-    points[j] <= points[i]).  `Preorder(points, up)` takes the points in
+    minimal open of points[i].  `Preorder(points, up)` takes the points in
     sorted order and the up rows, and validates them: every bit i of up[i]
     is set, and up[j] lies inside up[i] for every j in up[i].  The first
     violation in point order is named.  Points with equal rows (an
     indistinguishability class) share one transitivity check and one pass
-    over the row's bits.
+    over the row's bits, and that grouping gives same[i], the class of
+    points[i]: the points whose up row equals up[i], those related to it
+    both ways.
 
     The Sierpinski space, with opens {}, {b} and {a, b}, has a <= b:
 
     >>> from finsplice import SIERP, specialisation_preorder
     >>> sierp = specialisation_preorder(SIERP)
-    >>> sierp.points, sierp.up, sierp.down
-    (('a', 'b'), (3, 2), (1, 3))
+    >>> sierp.points, sierp.up, sierp.same
+    (('a', 'b'), (3, 2), (1, 2))
     >>> sierp.unmask(sierp.up[0])
     ('a', 'b')
     """
 
-    __slots__ = ("points", "up", "down")
-    _fields = ("points", "up")  # down is derived from up
+    __slots__ = ("points", "up", "same")
+    _fields = ("points", "up")  # same is derived from up
 
     def __init__(self, points: Iterable[str], up: Iterable[int]):
         pts, up = tuple(points), tuple(up)
@@ -191,7 +194,6 @@ class Preorder(Record):
             if not row >> i & 1:
                 raise InvalidPreorder(f"not reflexive: missing ({pts[i]}, {pts[i]})")
             members[row] = members.get(row, 0) | 1 << i
-        down = [0] * n
         for row, who in members.items():
             rest = row
             while rest:
@@ -201,11 +203,10 @@ class Preorder(Record):
                 if missing:
                     x, y, z = pts[_lowest(who)], pts[j], pts[_lowest(missing)]
                     raise InvalidPreorder(f"not transitive: {x} <= {y} <= {z} but not {x} <= {z}")
-                down[j] |= who
                 rest ^= low
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", tuple(down))
+        object.__setattr__(self, "same", tuple(members[row] for row in up))
 
     def mask_of(self, subset: Iterable[str]) -> int:
         return _mask(subset, {p: i for i, p in enumerate(self.points)})

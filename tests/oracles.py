@@ -49,15 +49,11 @@ def closure(space: FiniteSpace, subset: Iterable[str]) -> tuple[str, ...]:
     """Smallest closed set containing the subset: the union of its points' closures.
 
     The closure of {y} is the down-set of y, since x <= y exactly when x
-    lies in it.
+    lies in it: x is in the closure when its up row meets the subset.
     """
     preorder = space.preorder
     target = preorder.mask_of(subset)
-    result = 0
-    for i, row in enumerate(preorder.down):
-        if target >> i & 1:
-            result |= row
-    return preorder.unmask(result)
+    return tuple(x for x, row in zip(preorder.points, preorder.up) if row & target)
 
 
 def zero_complex(direction: str = COHOMOLOGICAL) -> ChainComplex:
@@ -199,7 +195,8 @@ def sympy_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
 
     Kept per matrix: `dense_group` reads each map at up to four flag pairs.
     """
-    return tuple(int(d) for d in invariant_factors(Matrix(m.rows, m.cols, sum(m.to_lists(), [])), domain=ZZ) if d)
+    flat = [x for row in m.to_lists() for x in row]
+    return tuple(int(d) for d in invariant_factors(Matrix(m.rows, m.cols, flat), domain=ZZ) if d)
 
 
 def splice_blocks(spliced: SplicedComplex) -> list[tuple[int, int, int]]:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import finsplice
 from finsplice import POSET_WARNING, build_pipeline, cli, from_preorder, pipeline, preorder_from_relation, random_space
-from finsplice import smith_normal_form
+from finsplice import IntMatrix, smith_normal_form
 from finsplice.cli import main
 from finsplice.io import space_from_dict, space_to_dict
 from oracles import dense_diagonals, rp2_face_poset
@@ -422,14 +422,30 @@ SPACE_SOURCES = {
     "leq": lambda tmp_path: ["--input", _write(tmp_path / "space.json", LARGE_INPUTS["doubled-pairs-100"][0])],
     "min_opens": lambda tmp_path: ["--input", _write(tmp_path / "space.json", MIN_OPENS_DOCUMENT)],
     "random": lambda tmp_path: ["--random", "12", "--seed", "3"],
+    # Relative torsion: its Smith reduction leaves a block for the dense finish.
+    "rp2-cone-doubled": lambda tmp_path: ["--input", _write(tmp_path / "rp2.json", rp2_face_poset("cone-doubled"))],
 }
 
 
 @pytest.mark.parametrize("source", sorted(SPACE_SOURCES))
 @pytest.mark.parametrize("command", REPORT_COMMANDS)
 def test_commands_never_list_the_opens(monkeypatch, capsys, tmp_path, source, command):
-    """Only the writers of space files list the opens; a space is its preorder."""
-    spaces = []
+    """Only the writers of space files list the opens; a space is its preorder.
+
+    Nor does a command take a dense view of a matrix: `from_rows`, `entries`
+    and `to_lists` raise while it runs.
+    """
+    spaces, dense_views = [], []
+
+    def refuse(name):
+        def dense(*args, **kwargs):
+            dense_views.append(name)
+            raise AssertionError(f"a command called IntMatrix.{name}")
+        return dense
+
+    for name in ("from_rows", "to_lists"):
+        monkeypatch.setattr(IntMatrix, name, refuse(name))
+    monkeypatch.setattr(IntMatrix, "entries", property(refuse("entries")))
 
     def keep(make):
         def made(*args, **kwargs):
@@ -440,6 +456,7 @@ def test_commands_never_list_the_opens(monkeypatch, capsys, tmp_path, source, co
     monkeypatch.setattr(cli, "load_space", keep(cli.load_space))
     monkeypatch.setattr(cli, "random_space", keep(cli.random_space))
     code, out, _ = run(capsys, *command, *SPACE_SOURCES[source](tmp_path), "--format", "json")
+    assert dense_views == []
     assert code == 0 and out
     assert len(spaces) == 1
     assert "opens" not in vars(spaces[0])

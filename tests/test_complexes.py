@@ -75,7 +75,7 @@ def oracle_order_complex(preorder, points=None, relation="leq"):
         if not faces:
             break
         faces_by_dim.append(tuple(sorted(faces)))
-    return SimplicialComplex(pts, tuple(faces_by_dim))
+    return SimplicialComplex(tuple(faces_by_dim))
 
 
 def outcome(build, *args):
@@ -192,14 +192,14 @@ def test_complex_sizes_are_the_built_dimensions(pipelines):
 
 
 def test_single_vertex_chain_complex():
-    sc = SimplicialComplex(("v",), ((("v",),),))
+    sc = SimplicialComplex(((("v",),),))
     cc = chain_complex(sc)
     assert cc.top_degree == 0
     assert cc.maps == ()
 
 
 def test_edge_boundary():
-    sc = SimplicialComplex(("a", "b"), ((("a",), ("b",)), (("a", "b"),)))
+    sc = SimplicialComplex(((("a",), ("b",)), (("a", "b"),)))
     cc = chain_complex(sc)
     assert transpose(cc.maps[0]).to_lists() == [[-1], [1]]
 
@@ -213,7 +213,7 @@ def test_relative_complex_of_dup(dup_pipeline):
 def test_relative_of_self_is_zero(dup_pipeline):
     # Relative to all its vertices, every face lies in the subcomplex.
     ambient = dup_pipeline.ambient_complex
-    assert relative_chain_complex(ambient, ambient.vertices) == zero_complex(HOMOLOGICAL)
+    assert relative_chain_complex(ambient, dup_pipeline.preorder.points) == zero_complex(HOMOLOGICAL)
 
 
 def test_relative_of_self_is_zero_with_several_differentials():
@@ -221,7 +221,7 @@ def test_relative_of_self_is_zero_with_several_differentials():
     preorder = preorder_from_relation(("a", "b", "c"), [("a", "b"), ("b", "c")])
     sc = order_complex(preorder, relation="strict")
     assert len(chain_complex(sc).maps) == 2
-    assert relative_chain_complex(sc, sc.vertices) == zero_complex(HOMOLOGICAL)
+    assert relative_chain_complex(sc, preorder.points) == zero_complex(HOMOLOGICAL)
 
 
 def test_relative_of_empty_is_identity(dup_pipeline):
@@ -485,15 +485,15 @@ def assert_cochain_shares_maps(cc):
     assert all_groups(dual) == dense_groups(reference)
 
 
-def assert_canonical_construction(ambient_complex, sub_complex):
+def assert_canonical_construction(ambient_complex, sub_complex, points):
     """Both builders give the reference matrices, and every cochain matches the transposed reference.
 
-    The subcomplex is the full one on its vertices, the representatives.
+    The subcomplex is the full one on `points`, the representatives it was built from.
     """
     ambient, sub = chain_complex(ambient_complex), chain_complex(sub_complex)
     assert ambient == reference_chain_complex(ambient_complex)
     assert sub == reference_chain_complex(sub_complex)
-    relative = relative_chain_complex(ambient_complex, sub_complex.vertices)
+    relative = relative_chain_complex(ambient_complex, points)
     assert relative.maps == tuple(reference_relative_maps(ambient, sub)[: len(relative.maps)])
     for cc in (ambient, sub, relative):
         assert_cochain_shares_maps(cc)
@@ -502,7 +502,9 @@ def assert_canonical_construction(ambient_complex, sub_complex):
 def test_canonical_construction_matches_reference_on_fixtures():
     for space in FIXTURES.values():
         data = build_pipeline(space)
-        assert_canonical_construction(data.ambient_complex, strict_poset_complex(data))
+        assert_canonical_construction(
+            data.ambient_complex, strict_poset_complex(data), data.decomposition.representatives
+        )
         assert data.poset_cochain.maps is data.poset_chain.maps
         assert data.relative_cochain.maps is data.relative_chain.maps
 
@@ -510,16 +512,17 @@ def test_canonical_construction_matches_reference_on_fixtures():
 def test_canonical_construction_matches_reference_on_corpus(pipelines):
     assert len(pipelines) == 500
     for data in pipelines:
-        assert_canonical_construction(data.ambient_complex, strict_poset_complex(data))
+        assert_canonical_construction(
+            data.ambient_complex, strict_poset_complex(data), data.decomposition.representatives
+        )
 
 
 def test_canonical_construction_matches_reference_on_blown_up_fixtures():
     for preorder in blown_up_fixtures():
         strict = strictify(preorder)
         representatives = decompose(preorder).representatives
-        assert_canonical_construction(
-            order_complex(strict, relation="leq"), order_complex(strict, representatives, relation="leq")
-        )
+        ambient = order_complex(strict, relation="leq")
+        assert_canonical_construction(ambient, order_complex(strict, representatives, relation="leq"), representatives)
 
 
 def test_canonical_construction_matches_reference_on_layered_relation():
@@ -527,7 +530,7 @@ def test_canonical_construction_matches_reference_on_layered_relation():
     strict, representatives = strictify(preorder), decompose(preorder).representatives
     ambient = order_complex(strict, relation="leq")
     assert dimension(ambient) == 3
-    assert_canonical_construction(ambient, order_complex(strict, representatives, relation="leq"))
+    assert_canonical_construction(ambient, order_complex(strict, representatives, relation="leq"), representatives)
 
 
 def test_chain_complex_columns_are_canonical_coboundaries(pipelines):

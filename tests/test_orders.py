@@ -48,6 +48,8 @@ def assert_preorder_layers_match_oracles(preorder):
     assert relation_pairs(strict) == oracle_strictify_pairs(preorder)
     assert is_poset(strict)
     classes = oracle_classes(preorder)
+    class_of = {x: cls for cls in classes for x in cls}
+    assert [preorder.unmask(row) for row in preorder.same] == [class_of[x] for x in preorder.points]
     assert equivalence_classes(preorder) == classes
     assert is_poset(preorder) == oracle_is_poset(preorder)
     for pick, policy in ((0, "least"), (-1, "greatest")):
