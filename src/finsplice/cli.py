@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .complexes import cochain
 from .fixtures import FIXTURES, random_space
-from .homology import GroupPresentation, all_groups
+from .homology import GroupPresentation, all_groups, group_dicts
 from .io import (
     REPORT_FORMAT,
     SpaceFormatError,
@@ -178,7 +178,7 @@ def cmd_homology(args, parser: _Parser) -> int:
         "complex": args.which,
         "theory": args.theory,
         "complex_sizes": data.complex_sizes,
-        "groups": [g.as_dict() for g in groups],
+        "groups": group_dicts(groups),
     }
     if args.format == "json":
         sys.stdout.write(dumps(report))
@@ -213,7 +213,7 @@ def cmd_spliced(args, parser: _Parser) -> int:
         "complex_sizes": data.complex_sizes,
         "length": args.length,
         "max_degree": args.max_degree,
-        "groups": [g.as_dict() for g in direct],
+        "groups": group_dicts(direct),
     }
     comparison = None
     if args.verify_theorem:

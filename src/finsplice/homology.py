@@ -15,7 +15,9 @@ above and maps[k-1] below; the direction only tells it which one enters.
 `smith_normal_form` is the one Smith routine: it reduces a column-sparse
 map by its lowest entries over Z, each +-1 low giving a 1 on the
 diagonal, and finishes the leftover block with `_diagonalize`, one dense
-elimination loop.  That block is empty on every input of perfbench's
+elimination loop.  A stored column whose last pair is a new +-1 low is
+kept as the stored tuple, with no copy; on perfbench's workloads most
+columns are.  The leftover block is empty on every input of perfbench's
 workloads and not when there is torsion (the projective plane's face
 poset, say).  The tests' transform oracle runs the same loop on a matrix
 augmented by two identities and reads U and V off the margins.
@@ -33,7 +35,7 @@ the boundaries reduces every top-degree cycle to zero column by column.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .complexes import HOMOLOGICAL, ChainComplex
 from .matrices import IntMatrix
@@ -72,6 +74,23 @@ class GroupPresentation(NamedTuple):
 TRIVIAL_GROUP = GroupPresentation()
 
 
+def group_dicts(groups: Sequence[GroupPresentation]) -> list[dict]:
+    """The groups' `as_dict` forms in order, one dict object per distinct group.
+
+    Equal groups share one dict, so `io.dumps` writes each distinct group
+    once per place in a report.  The dicts are made fresh on each call and
+    nothing is kept after it, so no two reports share one.
+
+    >>> zero, z, again = group_dicts([GroupPresentation(), GroupPresentation(1), GroupPresentation()])
+    >>> again is zero, z
+    (True, {'rank': 1, 'torsion': [], 'pretty': 'Z'})
+    >>> group_dicts([GroupPresentation()])[0] is zero
+    False
+    """
+    made = {group: group.as_dict() for group in dict.fromkeys(groups)}
+    return [made[group] for group in groups]
+
+
 class SmithNormalForm(NamedTuple):
     diagonal: tuple[int, ...]
     lows: set[int]
@@ -85,36 +104,49 @@ def smith_normal_form(matrix: IntMatrix) -> SmithNormalForm:
     column with the same lowest row, whose entry there is +-1, until its
     lowest row is new (Zomorodian and Carlsson, "Computing persistent
     homology", 2005).  A +-1 there is a low and a 1 on the diagonal; any
-    other entry sets the column aside.  Lows against their columns form a
-    triangular block with +-1 on its diagonal, so `_diagonalize` finishes
-    only the set-aside columns, reduced off every low, highest first, and
-    restricted to the rows where they still have entries: a block that is
-    empty unless there is torsion.  All arithmetic is exact.
+    other entry sets the column aside.  Stored columns are sorted by row,
+    so a column's low is its last pair: a column whose low is new and +-1
+    is kept as the stored tuple itself, with no dict and no `max`.  Only a
+    column whose low is taken or is not +-1 is copied into a dict to be
+    reduced or set aside; one reduced to a new +-1 low is kept sorted
+    again, so every reduced column has its low as its last pair.
+
+    Lows against their columns form a triangular block with +-1 on its
+    diagonal, so `_diagonalize` finishes only the set-aside columns,
+    reduced off every low, highest first, and restricted to the rows where
+    they still have entries: a block that is empty unless there is
+    torsion.  All arithmetic is exact.
 
     >>> smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).diagonal
     (1, 6)
     >>> smith_normal_form(IntMatrix.from_rows([[1, 1], [1, 1], [1, -1]]))
     SmithNormalForm(diagonal=(1, 2), lows={2})
     """
-    reduced: dict[int, dict[int, int]] = {}
+    reduced: dict[int, tuple[tuple[int, int], ...]] = {}
     aside = []
 
     def clear(column: dict[int, int], p: int) -> None:
-        """Cancel the column's entry at p with the reduced column whose +-1 low is p."""
+        """Cancel the column's entry at p with the reduced column whose +-1 low is p, its last pair."""
         pivot = reduced[p]
-        q = column[p] * pivot[p]
-        for i, x in pivot.items():
+        q = column[p] * pivot[-1][1]
+        for i, x in pivot:
             if y := column.get(i, 0) - q * x:
                 column[i] = y
             else:
                 del column[i]
 
     for entries in matrix.columns:
+        if not entries:
+            continue
+        low, x = entries[-1]
+        if low not in reduced and x in (1, -1):
+            reduced[low] = entries
+            continue
         column = dict(entries)
         while column and (low := max(column)) in reduced:
             clear(column, low)
         if column and column[low] in (1, -1):
-            reduced[low] = column
+            reduced[low] = tuple(sorted(column.items()))
         elif column:
             aside.append(column)
     for p in sorted(reduced, reverse=True) if aside else ():

@@ -108,6 +108,13 @@ def dumps(payload: dict) -> str:
     `tuple`, `str`, `int`, `bool` and `None`.  A value of any other type,
     a subclass of these included, raises `TypeError`.
 
+    A report may hold one container in several places, such as one group
+    dict for every degree with that group.  One memo, keyed by the
+    container's `id` and its indent, lives for the call: a dict, list or
+    tuple already written at that indent reuses its text.  The payload
+    holds every container until the call returns, so no id is reused
+    while the memo lives.
+
     >>> print(dumps({"name": "c'", "ranks": [1, 0], "torsion": [], "t0": None}), end="")
     {
       "name": "c'",
@@ -119,7 +126,7 @@ def dumps(payload: dict) -> str:
       "torsion": []
     }
     """
-    return _encode(payload, "") + "\n"
+    return _encode(payload, "", {}) + "\n"
 
 
 # The writers of the scalar types, keyed by exact type.
@@ -131,33 +138,41 @@ _SCALARS = {
 }
 
 
-def _encode(value, indent: str) -> str:
-    """The JSON text of one value nested at `indent`; its closing bracket starts a line there."""
+def _encode(value, indent: str, memo: dict) -> str:
+    """The JSON text of one value nested at `indent`; its closing bracket starts a line there.
+
+    `memo` maps (id, indent) of each container written so far to its text.
+    """
     kind = type(value)
+    if kind is not dict and kind is not list and kind is not tuple:
+        scalar = _SCALARS.get(kind)
+        if scalar is None:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        return scalar(value)
+    if not value:
+        return "{}" if kind is dict else "[]"
+    key = (id(value), indent)
+    text = memo.get(key)
+    if text is not None:
+        return text
+    inner = indent + "  "
     if kind is dict:
-        if not value:
-            return "{}"
-        inner = indent + "  "
         items = []
-        for key in sorted(value):
-            item = value[key]
+        for name in sorted(value):
+            item = value[name]
             scalar = _SCALARS.get(type(item))
             # encode_basestring_ascii raises TypeError for a key that is not a str.
-            items.append(encode_basestring_ascii(key) + ": " + (scalar(item) if scalar else _encode(item, inner)))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = indent + "  "
+            written = scalar(item) if scalar else _encode(item, inner, memo)
+            items.append(encode_basestring_ascii(name) + ": " + written)
+        text = "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    else:
         first = type(value[0])
         scalar = _SCALARS.get(first)
         # A list of scalars of one type is written with one join.
         if scalar is not None and all(type(item) is first for item in value):
             items = map(scalar, value)
         else:
-            items = [_encode(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    scalar = _SCALARS.get(kind)
-    if scalar is None:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    return scalar(value)
+            items = [_encode(item, inner, memo) for item in value]
+        text = "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    memo[key] = text
+    return text

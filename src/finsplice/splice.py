@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .complexes import COHOMOLOGICAL, ChainComplex, checked_complex
-from .homology import GroupPresentation
+from .homology import GroupPresentation, group_dicts
 from .matrices import IntMatrix
 
 
@@ -166,14 +166,12 @@ class ComparisonReport(NamedTuple):
         return f"{c[MATCH]} match / {c[MISMATCH]} mismatch / {c['uncovered']} uncovered"
 
     def as_dict(self) -> dict:
+        """The report's JSON form; its rows share one dict per distinct group (see `group_dicts`)."""
+        # Dict displays evaluate left to right, so each row takes its direct, then its claimed dict.
+        groups = iter(group_dicts([group for row in self.rows for group in (row.direct, row.claimed)]))
         return {
             "rows": [
-                {
-                    "degree": row.degree,
-                    "direct": row.direct.as_dict(),
-                    "claimed": row.claimed.as_dict(),
-                    "verdict": row.verdict,
-                }
+                {"degree": row.degree, "direct": next(groups), "claimed": next(groups), "verdict": row.verdict}
                 for row in self.rows
             ],
             "summary": self.counts(),

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,6 +216,63 @@ def test_projective_plane_torsion_matches_sympy_invariant_factors(variant, which
     assert complex_.smith.diagonals == expected
     assert cochain(complex_).smith.diagonals == expected
     assert any(m and n for m, n in blocks)
+
+
+def _counting_reduction(monkeypatch):
+    """Count `smith_normal_form`'s `dict` and `max` calls and the blocks it hands `_diagonalize`."""
+    calls, blocks = Counter(), []
+    for name, builtin in (("dict", dict), ("max", max)):
+
+        def counting(*args, name=name, builtin=builtin):
+            calls[name] += 1
+            return builtin(*args)
+
+        monkeypatch.setattr(homology, name, counting, raising=False)
+    diagonalize = homology._diagonalize
+
+    def recording(a, m, n):
+        blocks.append((m, n))
+        return diagonalize(a, m, n)
+
+    monkeypatch.setattr(homology, "_diagonalize", recording)
+    return calls, blocks
+
+
+# One matrix per branch of the low reduction: rows, diagonal, lows, the
+# columns copied into a dict, the `max` calls, and the set-aside block.
+SMITH_BRANCHES = {
+    # Every column's last pair is a new +-1 low, so each is kept as stored.
+    "new unit lows": ([[1, 0], [1, -1], [0, 1]], (1, 1), {1, 2}, 0, 0, (0, 0)),
+    # Column 1's low 1 is taken; one clear leaves the new low -1 at row 0,
+    # whose reduced column then clears column 2 to zero.
+    "taken low to a new unit": ([[1, 1, 3], [1, 2, 0]], (1, 1), {0, 1}, 2, 3, (0, 0)),
+    # Lows 2 and 3 are new but not units: both columns are set aside.
+    "non-unit lows": ([[2, 0], [0, 3]], (1, 6), set(), 2, 2, (2, 2)),
+    # The projective plane's coboundary from edges to faces (see `SmithTable.of`):
+    # column 1 clears to zero and column 2 to the non-unit 2 at row 0.
+    "projective plane": ([[1, 1, 1], [1, 1, -1]], (1, 2), {1}, 2, 3, (1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", SMITH_BRANCHES)
+def test_each_branch_of_the_low_reduction_matches_the_oracles(name, monkeypatch):
+    rows, diagonal, lows, copies, maxes, block = SMITH_BRANCHES[name]
+    m = IntMatrix.from_rows(rows)
+    assert minors_invariant_factors(m) == smith_transforms(m)[0] == diagonal
+    calls, blocks = _counting_reduction(monkeypatch)
+    assert smith_normal_form(m) == (diagonal, lows)
+    assert (calls["dict"], calls["max"], blocks) == (copies, maxes, [block])
+
+
+def test_projective_plane_coboundaries_set_the_torsion_aside(monkeypatch):
+    maps = build_pipeline(space_from_dict(rp2_face_poset("plain"))).poset_cochain.maps
+    expected = tuple(smith_transforms(m)[0] for m in maps)
+    assert expected[-1][-1] == 2
+    calls, blocks = _counting_reduction(monkeypatch)
+    assert tuple(smith_normal_form(m).diagonal for m in maps) == expected
+    # Most columns keep their stored tuple; the top map leaves a block for the dense loop.
+    assert 0 < calls["dict"] < sum(m.cols for m in maps) // 2
+    assert blocks[0] == (0, 0) and blocks[-1] > (0, 0)
 
 
 def test_group_reads_torsion_from_the_map_the_dense_oracle_orients_into_the_degree():

@@ -2,12 +2,16 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from finsplice import FIXTURES, PSEUDO_S1, build_pipeline, cli, specialisation_preorder, validate_topology
+from finsplice import io as io_module
 from finsplice.io import (
     SpaceFormatError,
     dump_space,
@@ -159,6 +163,64 @@ def test_dumps_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+def test_dumps_writes_a_dict_shared_at_two_depths():
+    group = {"rank": 1, "torsion": [2, 2], "pretty": "Z + Z/2 + Z/2"}
+    payload = {"groups": [group, group], "theorem": {"rows": [{"direct": group, "claimed": group}]}, "last": group}
+    assert dumps(payload) == oracle_dumps(payload)
+
+
+def test_dumps_writes_a_list_repeated_inside_a_list():
+    row = [1, "a", None, [True, "b"]]
+    payload = [row, row, [row, row], {"row": row}]
+    assert dumps(payload) == oracle_dumps(payload)
+
+
+def test_dumps_writes_a_shared_empty_list_and_a_shared_tuple():
+    empty, pair = [], ("c'", [0, -1])
+    payload = {"a": empty, "b": [empty, pair, empty, pair], "c": {"d": pair, "e": [[empty]]}}
+    assert dumps(payload) == oracle_dumps(payload)
+
+
+def test_dumps_writes_each_shared_container_once_per_indent(monkeypatch):
+    # Keys go through the module's `encode_basestring_ascii`, values do not,
+    # so its calls count the dicts written: one group at two indents.
+    written = []
+    monkeypatch.setattr(io_module, "encode_basestring_ascii", lambda key: written.append(key) or json.dumps(key))
+    group = {"pretty": "0", "rank": 0, "torsion": []}
+    payload = {"groups": [group] * 12, "theorem": {"rows": [{"claimed": group, "direct": group}] * 6}}
+    assert dumps(payload) == oracle_dumps(payload)
+    assert written.count("pretty") == 2
+
+
+@st.composite
+def sharing_payloads(draw):
+    """Payloads built from a few drawn sub-payloads, each placed by reference wherever it is picked."""
+    parts = draw(st.lists(payloads, min_size=1, max_size=4))
+    return draw(
+        st.recursive(
+            st.sampled_from(parts),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.lists(inner, max_size=4).map(tuple)
+            | st.dictionaries(any_text, inner, max_size=4),
+            max_leaves=12,
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(sharing_payloads())
+def test_dumps_matches_the_indenting_encoder_on_shared_sub_payloads(payload):
+    assert dumps(payload) == oracle_dumps(payload)
+
+
+def test_dumps_rejects_a_shared_value_of_another_type():
+    bad = {"x": [1, 2.5]}
+    with pytest.raises(TypeError):
+        dumps({"a": bad, "b": [bad, bad]})
+    with pytest.raises(TypeError):
+        dumps({"a": [{}], "b": {"c": {1, 2}}, "d": [{}]})
+
+
 def _reports(monkeypatch, argvs):
     """The payloads `cli.main` hands to `dumps` for each argv, with the text written."""
     written = []
@@ -206,6 +268,50 @@ def test_dumps_matches_the_indenting_encoder_on_corpus_reports(monkeypatch, tmp_
     assert len(written) == 250
     for payload, text in written:
         assert text == oracle_dumps(payload)
+
+
+SPLICED_DUP = ["spliced", "--fixture", "PSEUDO_S1_DUP", "--max-degree", "11", "--verify-theorem", "--format", "json"]
+
+
+def _containers(value):
+    """Every dict, list and tuple in a payload, itself included, once per place."""
+    if isinstance(value, dict):
+        return [value, *(c for item in value.values() for c in _containers(item))]
+    if isinstance(value, (list, tuple)):
+        return [value, *(c for item in value for c in _containers(item))]
+    return []
+
+
+def test_each_report_block_holds_one_dict_per_distinct_group(monkeypatch):
+    [(payload, text)] = _reports(monkeypatch, [SPLICED_DUP])
+    blocks = {
+        "groups": payload["groups"],
+        "theorem.rows": [row[side] for row in payload["theorem"]["rows"] for side in ("direct", "claimed")],
+    }
+    assert (len(blocks["groups"]), len(blocks["theorem.rows"])) == (12, 24)
+    for name, dicts in blocks.items():
+        by_value = {}
+        for d in dicts:
+            assert by_value.setdefault(json.dumps(d, sort_keys=True), d) is d, name
+        assert len({id(d) for d in dicts}) == len(by_value) < len(dicts), name
+    assert text == oracle_dumps(payload)
+
+
+def test_no_report_object_is_shared_between_two_calls(monkeypatch):
+    (first, _), (second, _) = _reports(monkeypatch, [SPLICED_DUP, SPLICED_DUP])
+    # Both payloads are alive, so equal ids would be one object.
+    assert not {id(c) for c in _containers(first)} & {id(c) for c in _containers(second)}
+
+
+def test_interleaved_spliced_reports_match_each_run_alone(monkeypatch):
+    argvs = [[*SPLICED_DUP[:2], name, *SPLICED_DUP[3:]] for name in ("PSEUDO_S1_DUP", "INDISC2")]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    alone = [
+        subprocess.run([sys.executable, "-m", "finsplice", *argv], capture_output=True, env=env, check=True).stdout
+        for argv in argvs
+    ]
+    written = _reports(monkeypatch, [argvs[0], argvs[1], argvs[0], argvs[1], argvs[1], argvs[0]])
+    assert [text.encode() for _, text in written] == [alone[i] for i in (0, 1, 0, 1, 1, 0)]
 
 
 @pytest.mark.parametrize("field", ["points", "leq", "opens", "min_opens"])
