@@ -627,6 +627,22 @@ def test_spliced_report_golden_file(capsys):
 
 
 @pytest.mark.parametrize(
+    "name, args",
+    [
+        ("dup_relative_cohomology_table.txt", ["homology", "--complex", "relative", "--theory", "cohomology"]),
+        ("dup_spliced_table.txt", ["spliced", "--length", "3", "--max-degree", "5", "--verify-theorem"]),
+        ("dup_spliced_negative_table.txt", ["spliced", "--length", "-3", "--max-degree", "5", "--verify-theorem"]),
+    ],
+)
+def test_table_report_golden_files(capsys, name, args):
+    # Checked by hand: the spliced groups and verdicts are those of dup_spliced_report.json (its
+    # sources swapped for -3), and the relative groups follow from dup_relative_cochain.json's map.
+    code, out, err = run(capsys, *args, "--fixture", "PSEUDO_S1_DUP")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
     "document",
     [
         {"points": ["a", "b"], "min_opens": {"a": None, "b": ["b"]}},
