@@ -113,8 +113,8 @@ def _resolve_space(args, parser: _Parser) -> FiniteSpace:
 
 
 def escape_names(names: Iterable[str]) -> list[str]:
-    """Each name with a `\\` before every `\\` and `,`, so the `decompose` table's name lists read back uniquely."""
-    return [v.replace("\\", "\\\\").replace(",", "\\,") for v in names]
+    """Each name with a `\\` before each `\\`, `,`, `{` and `}`, so the `decompose` table's lines read back uniquely."""
+    return [v.replace("\\", "\\\\").replace(",", "\\,").replace("{", "\\{").replace("}", "\\}") for v in names]
 
 
 def _group_row(degree: int, group: GroupPresentation) -> str:

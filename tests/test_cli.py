@@ -331,13 +331,15 @@ def test_projective_plane_cone_relative_torsion_matches_the_dense_oracle():
 
 
 COMMA_POINTS = ["a", "b,c", "a,b", "c"]
-COMMA_LEQ = {
-    "T0": [["a", "b,c"], ["a,b", "c"]],
-    "not-T0": [["a", "b,c"], ["a,b", "c"], ["a,b", "b,c"], ["b,c", "a,b"]],
-    "twin-a": [["a", "b,c"], ["b,c", "a"], ["a,b", "c"]],
+COMMA_SPACES = {
+    "T0": (COMMA_POINTS, [["a", "b,c"], ["a,b", "c"]]),
+    "not-T0": (COMMA_POINTS, [["a", "b,c"], ["a,b", "c"], ["a,b", "b,c"], ["b,c", "a,b"]]),
+    "twin-a": (COMMA_POINTS, [["a", "b,c"], ["b,c", "a"], ["a,b", "c"]]),
+    "braces": (["a", "a} {b", "b", "c"], [["a", "c"], ["a} {b", "b"], ["b", "a} {b"]]),
 }
 # The decompose table escapes names as face labels do; unescaped, "twin-a"
-# would read "{a, b,c} {a,b} {c}" and "representatives: a, a,b, c".
+# would read "{a, b,c} {a,b} {c}" and "representatives: a, a,b, c", and the
+# single point "a} {b" would read as the two classes {a} and {b}.
 COMMA_TABLES = {
     "T0": [
         "points: 4 (T0: yes)",
@@ -358,20 +360,26 @@ COMMA_TABLES = {
         "representatives: a, a\\,b, c",
         "complementary: b\\,c",
     ],
+    "braces": [
+        "points: 4 (T0: no)",
+        "classes: {a} {a\\} \\{b, b} {c}",
+        "representatives: a, a\\} \\{b, c",
+        "complementary: b",
+    ],
 }
 
 
-@pytest.mark.parametrize("variant", sorted(COMMA_LEQ))
+@pytest.mark.parametrize("variant", sorted(COMMA_SPACES))
 @pytest.mark.parametrize("command", REPORT_COMMANDS)
 def test_point_names_with_commas_label_faces_injectively(capsys, tmp_path, variant, command):
     # The faces (a, "b,c") and ("a,b", c) would share the label "a,b,c".
-    # Dropping the commas keeps the order of the points, so the reports agree.
-    renamed = {p: p.replace(",", "") for p in COMMA_POINTS}
-    leq = COMMA_LEQ[variant]
-    with_commas = _write(tmp_path / "commas.json", {"points": COMMA_POINTS, "leq": leq})
+    # Dropping the commas and braces keeps the order of the points, so the reports agree.
+    points, leq = COMMA_SPACES[variant]
+    renamed = {p: p.replace(",", "").replace("{", "").replace("}", "") for p in points}
+    with_commas = _write(tmp_path / "commas.json", {"points": points, "leq": leq})
     plain = _write(
         tmp_path / "plain.json",
-        {"points": [renamed[p] for p in COMMA_POINTS], "leq": [[renamed[x], renamed[y]] for x, y in leq]},
+        {"points": [renamed[p] for p in points], "leq": [[renamed[x], renamed[y]] for x, y in leq]},
     )
     code, out, err = run(capsys, *command, "--input", with_commas, "--format", "json")
     assert (code, err) == (0, "")
