@@ -11,6 +11,9 @@ The argument parser is built once per process, on the first `main` call,
 and shared by every later call; each call parses into a fresh namespace,
 so nothing derived from one call's input reaches the next.
 
+The reports' JSON shape is built here alone, each report's groups in one
+`_group_dicts` call; `homology` and `splice` return plain values.
+
 Every run starts a fresh interpreter, so importing this module loads
 nothing that no command needs; a guard test in `tests/test_cli.py` names
 the standard-library modules that must stay unloaded.
@@ -25,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .complexes import cochain
 from .fixtures import FIXTURES, random_space
-from .homology import GroupPresentation, all_groups, group_dicts
+from .homology import GroupPresentation, all_groups
 from .io import (
     REPORT_FORMAT,
     SpaceFormatError,
@@ -117,6 +120,21 @@ def escape_names(names: Iterable[str]) -> list[str]:
     return [v.replace("\\", "\\\\").replace(",", "\\,").replace("{", "\\{").replace("}", "\\}") for v in names]
 
 
+def _group_dicts(groups: Sequence[GroupPresentation]) -> list[dict]:
+    """The groups' report dicts in order; equal groups share one, made fresh on each call.
+
+    Sharing lets `io.dumps` write each distinct group once per place.
+
+    >>> zero, z, again = _group_dicts([GroupPresentation(), GroupPresentation(1), GroupPresentation()])
+    >>> again is zero, z
+    (True, {'rank': 1, 'torsion': [], 'pretty': 'Z'})
+    >>> _group_dicts([GroupPresentation()])[0] is zero
+    False
+    """
+    made = {g: {"rank": g.rank, "torsion": list(g.torsion), "pretty": str(g)} for g in dict.fromkeys(groups)}
+    return [made[g] for g in groups]
+
+
 def _group_row(degree: int, group: GroupPresentation) -> str:
     return f"{degree:>6}  {group}"
 
@@ -178,7 +196,7 @@ def cmd_homology(args, parser: _Parser) -> int:
         "complex": args.which,
         "theory": args.theory,
         "complex_sizes": data.complex_sizes,
-        "groups": group_dicts(groups),
+        "groups": _group_dicts(groups),
     }
     if args.format == "json":
         sys.stdout.write(dumps(report))
@@ -205,6 +223,9 @@ def cmd_spliced(args, parser: _Parser) -> int:
     else:
         spliced = splice_negative(data.sources, args.length)
     direct = spliced_cohomology(spliced, args.max_degree)
+    claimed = theorem_claimed_groups(*data.sources, args.max_degree) if args.verify_theorem else ()
+    comparison = compare(direct, claimed) if args.verify_theorem else None
+    dicts = _group_dicts(direct + claimed)
     report = {
         "format": REPORT_FORMAT,
         "command": "spliced",
@@ -213,12 +234,12 @@ def cmd_spliced(args, parser: _Parser) -> int:
         "complex_sizes": data.complex_sizes,
         "length": args.length,
         "max_degree": args.max_degree,
-        "groups": group_dicts(direct),
+        "groups": dicts[: len(direct)],
     }
-    comparison = None
-    if args.verify_theorem:
-        comparison = compare(direct, theorem_claimed_groups(*data.sources, args.max_degree))
-        report["theorem"] = comparison.as_dict()
+    if comparison is not None:
+        pairs = zip(comparison.rows, dicts, dicts[len(direct) :])
+        rows = [{"degree": r.degree, "direct": d, "claimed": c, "verdict": r.verdict} for r, d, c in pairs]
+        report["theorem"] = {"rows": rows, "summary": comparison.counts()}
     if args.format == "json":
         sys.stdout.write(dumps(report))
         return 0

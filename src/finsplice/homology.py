@@ -35,7 +35,7 @@ the boundaries reduces every top-degree cycle to zero column by column.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .complexes import HOMOLOGICAL, ChainComplex
 from .matrices import IntMatrix
@@ -67,28 +67,8 @@ class GroupPresentation(NamedTuple):
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
 
-    def as_dict(self) -> dict:
-        return {"rank": self.rank, "torsion": list(self.torsion), "pretty": str(self)}
-
 
 TRIVIAL_GROUP = GroupPresentation()
-
-
-def group_dicts(groups: Sequence[GroupPresentation]) -> list[dict]:
-    """The groups' `as_dict` forms in order, one dict object per distinct group.
-
-    Equal groups share one dict, so `io.dumps` writes each distinct group
-    once per place in a report.  The dicts are made fresh on each call and
-    nothing is kept after it, so no two reports share one.
-
-    >>> zero, z, again = group_dicts([GroupPresentation(), GroupPresentation(1), GroupPresentation()])
-    >>> again is zero, z
-    (True, {'rank': 1, 'torsion': [], 'pretty': 'Z'})
-    >>> group_dicts([GroupPresentation()])[0] is zero
-    False
-    """
-    made = {group: group.as_dict() for group in dict.fromkeys(groups)}
-    return [made[group] for group in groups]
 
 
 class SmithNormalForm(NamedTuple):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .complexes import COHOMOLOGICAL, ChainComplex, checked_complex
-from .homology import GroupPresentation, group_dicts
+from .homology import GroupPresentation
 from .matrices import IntMatrix
 
 
@@ -164,18 +164,6 @@ class ComparisonReport(NamedTuple):
     def summary(self) -> str:
         c = self.counts()
         return f"{c[MATCH]} match / {c[MISMATCH]} mismatch / {c['uncovered']} uncovered"
-
-    def as_dict(self) -> dict:
-        """The report's JSON form; its rows share one dict per distinct group (see `group_dicts`)."""
-        # Dict displays evaluate left to right, so each row takes its direct, then its claimed dict.
-        groups = iter(group_dicts([group for row in self.rows for group in (row.direct, row.claimed)]))
-        return {
-            "rows": [
-                {"degree": row.degree, "direct": next(groups), "claimed": next(groups), "verdict": row.verdict}
-                for row in self.rows
-            ],
-            "summary": self.counts(),
-        }
 
 
 def compare(direct: Sequence[GroupPresentation], claimed: Sequence[GroupPresentation]) -> ComparisonReport:

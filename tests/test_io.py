@@ -289,6 +289,8 @@ def test_each_report_block_holds_one_dict_per_distinct_group(monkeypatch):
         "theorem.rows": [row[side] for row in payload["theorem"]["rows"] for side in ("direct", "claimed")],
     }
     assert (len(blocks["groups"]), len(blocks["theorem.rows"])) == (12, 24)
+    # A direct group in `groups` and in `theorem.rows` is one dict too.
+    blocks["whole report"] = blocks["groups"] + blocks["theorem.rows"]
     for name, dicts in blocks.items():
         by_value = {}
         for d in dicts:
