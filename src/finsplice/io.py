@@ -89,7 +89,8 @@ def space_from_dict(data: dict) -> FiniteSpace:
 
 def load_space(path: str | Path) -> FiniteSpace:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as file:
+            data = json.loads(file.read())
     except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise SpaceFormatError(f"not valid JSON: {exc}") from exc
     return space_from_dict(data)

@@ -669,13 +669,24 @@ def test_malformed_members_are_input_errors(capsys, tmp_path, document):
     assert "input error" in err
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100000], ids=["not-utf8", "deep-nesting"])
-def test_unreadable_json_is_an_input_error(capsys, tmp_path, content):
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (b"\xff\xfe{", "not valid JSON"),
+        (b"[" * 100000, "not valid JSON"),
+        (None, "finsplice: input error: [Errno 21] Is a directory: '{path}'\n"),
+    ],
+    ids=["not-utf8", "deep-nesting", "directory"],
+)
+def test_unreadable_json_is_an_input_error(capsys, tmp_path, content, message):
     path = tmp_path / "bad.json"
-    path.write_bytes(content)
-    code, _, err = run(capsys, "decompose", "--input", str(path))
-    assert code == 2
-    assert "not valid JSON" in err
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out, err = run(capsys, "decompose", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert message.format(path=path) in err
 
 
 @pytest.mark.parametrize(
