@@ -9,7 +9,9 @@ exception, reported as one line on stderr instead of a traceback).
 
 The argument parser is built once per process, on the first `main` call,
 and shared by every later call; each call parses into a fresh namespace,
-so nothing derived from one call's input reaches the next.
+so nothing derived from one call's input reaches the next.  A plain command
+line is read from the parser's own option table (`_Parser.parse_args`);
+everything else, help and every usage error included, goes to argparse.
 
 The reports' JSON shape is built here alone, each report's groups in one
 `_group_dicts` call; `homology` and `splice` return plain values.
@@ -46,7 +48,59 @@ INPUT_ERROR = 2
 INTERNAL_ERROR = 4
 
 
+def _defaults(parser: argparse.ArgumentParser) -> dict:
+    """What argparse puts in the parser's fresh namespace before it reads a word, string defaults converted."""
+    values = {}
+    for a in parser._actions:
+        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
+            values.setdefault(a.dest, parser._get_value(a, a.default) if isinstance(a.default, str) else a.default)
+    return {**parser._defaults, **values}
+
+
 class _Parser(argparse.ArgumentParser):
+    def parse_args(self, args=None, namespace=None):
+        """argparse's `parse_args`, but a plain command line is read from the parsers' own tables.
+
+        Plain means all of:
+        - the first word names a subcommand, the top parser's only positional,
+          whose parser has no positional, required option or exclusive group;
+        - each later word is that parser's exact option string for a store-true
+          action, or for a one-value store action followed by a value that passes
+          its type and choices and starts with no `-`, unless it is a negative
+          number and the parser has no option that looks like one.
+        Anything else (`--len`, `--opt=value`, `-h`, `--`, a missing, unknown
+        or bad value) goes to argparse, which writes help, usage and every error.
+        """
+        argv = sys.argv[1:] if args is None else list(args)
+        values = self._plain_values(argv) if namespace is None else None
+        return super().parse_args(argv, namespace) if values is None else argparse.Namespace(**values)
+
+    def _plain_values(self, argv: list[str]) -> dict | None:
+        first = [a for a in self._actions if not a.option_strings or a.required]
+        chooser = first[0] if len(first) == 1 and isinstance(first[0], argparse._SubParsersAction) else None
+        sub = chooser.choices.get(argv[0]) if chooser and argv else None
+        if sub is None or sub._mutually_exclusive_groups or any(not a.option_strings or a.required for a in sub._actions):
+            return None
+        words = iter(argv[1:])
+        try:
+            values = {**_defaults(self), chooser.dest: argv[0], **_defaults(sub)}
+            for word in words:
+                action = sub._option_string_actions.get(word)
+                if type(action) is argparse._StoreTrueAction:
+                    values[action.dest] = action.const
+                    continue
+                value = next(words, None)
+                if type(action) is not argparse._StoreAction or action.nargs is not None or value is None:
+                    return None
+                dashed = value.startswith(tuple(sub.prefix_chars))
+                if dashed and (sub._has_negative_number_optionals or not sub._negative_number_matcher.match(value)):
+                    return None
+                values[action.dest] = sub._get_value(action, value)
+                sub._check_value(action, values[action.dest])
+        except argparse.ArgumentError:
+            return None
+        return values
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finsplice
-from finsplice import POSET_WARNING, build_pipeline, cli, from_preorder, pipeline, preorder_from_relation, random_space
+from finsplice import FIXTURES, POSET_WARNING, build_pipeline, cli, from_preorder, pipeline, preorder_from_relation, random_space
 from finsplice import IntMatrix, smith_normal_form
 from finsplice.cli import main
 from finsplice.io import space_from_dict, space_to_dict
@@ -490,13 +491,17 @@ def test_reused_parser_leaks_no_state(capsys, tmp_path):
         ("decompose", "--fixture", "SIERP", "--no-such-flag"),
         ("decompose", "--input", str(tmp_path / "absent.json")),
         ("--help",),
+        ("spliced", "--fixture", "PSEUDO_S1_DUP", "--max-degree", "3", "--verify-theorem"),
+        ("spliced", "--fixture", "PSEUDO_S1_DUP", "--max-degree", "3"),
     ]
 
     def round_of_calls():
         return [run(capsys, *argv) for argv in calls]
 
     first = round_of_calls()
-    assert [code for code, _, _ in first] == [0, 3, 3, 2, 0]
+    assert [code for code, _, _ in first] == [0, 3, 3, 2, 0, 0, 0]
+    assert "summary:" in first[-2][1]
+    assert "summary:" not in first[-1][1]
     assert round_of_calls() == first
     cli.build_parser.cache_clear()
     assert round_of_calls() == first
@@ -551,12 +556,13 @@ def test_cli_import_loads_no_library_a_command_does_not_need():
     assert _loaded_by_cli_import({"dataclasses", "inspect", "fractions", "decimal", "string"}) == "[]\n"
 
 
-def _benchmark_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def _benchmark_module(name):
+    """A fresh copy of `perfbench/<name>.py`, registered in `sys.modules` as `dataclasses` needs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_name_the_benchmark_tracer_wraps_exists():
@@ -566,7 +572,7 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
     `complexes.strictify`, `pipeline.specialisation_preorder`, ...) would only
     thin out the traced spans, so the bindings are checked here.
     """
-    bindings = _benchmark_tracing().Instrumentation(finsplice).bindings()
+    bindings = _benchmark_module("tracing").Instrumentation(finsplice).bindings()
     assert bindings
     assert [f"{owner.__name__}.{attr}" for owner, attr, *_ in bindings if not hasattr(owner, attr)] == []
 
@@ -585,7 +591,7 @@ def test_the_benchmark_tracer_hooks_read_what_the_program_has(capsys):
         ("homology", "--theory", "cohomology"),
         ("decompose",),
     ]
-    instrumentation = _benchmark_tracing().Instrumentation(finsplice)
+    instrumentation = _benchmark_module("tracing").Instrumentation(finsplice)
     counts = instrumentation.tracer.counts
     for command in commands:
         argv = (*command, "--fixture", "PSEUDO_S1_DUP", "--format", "json")
@@ -600,6 +606,111 @@ def test_the_benchmark_tracer_hooks_read_what_the_program_has(capsys):
             assert counts["splice.zero_maps"] > zero_maps
     assert counts["complexes.map_nnz"] > 0
     assert counts["homology.snf_calls"] > 0
+
+
+def _workload_argvs(path):
+    """Each distinct argument list the benchmark's three workloads send, reading the space file at `path`."""
+    ops = {op.args: op for make in _benchmark_module("workloads").WORKLOADS.values() for op in make(1)}
+    return [op.argv(path) for op in ops.values()]
+
+
+def _parsed(parse_args, argv):
+    """The namespace `parse_args(argv)` returns, or the code it exits with, and what it writes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse_args(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _assert_parses_as_argparse_does(argv):
+    parser = cli.build_parser()
+    assert _parsed(parser.parse_args, argv) == _parsed(lambda a: argparse.ArgumentParser.parse_args(parser, a), argv)
+
+
+def test_workload_command_lines_parse_as_argparse_does():
+    argvs = _workload_argvs("space.json")
+    assert {argv[0] for argv in argvs} == {"decompose", "homology", "spliced"}
+    assert ["--length", "-3"] in [argv[3:5] for argv in argvs]
+    for argv in argvs:
+        _assert_parses_as_argparse_does(argv)
+
+
+PARSE_EDGE_CASES = [
+    (),
+    ("frobnicate",),
+    ("-h",),
+    ("--help", "spliced"),
+    ("spliced", "-h"),
+    ("homology", "--fixture", "SIERP", "--help"),
+    ("fixtures",),
+    ("fixtures", "list"),
+    ("fixtures", "show", "SIERP"),
+    ("fixtures", "export", "SIERP", "out.json"),
+    ("spliced", "--fixture", "SIERP", "--len", "3"),
+    ("spliced", "--fixture", "SIERP", "--length=3"),
+    ("spliced", "--fixture=SIERP", "--verify-theorem=1"),
+    ("spliced", "--fixture", "SIERP", "--length", "2", "--length", "-3", "--verify-theorem", "--verify-theorem"),
+    ("spliced", "--fixture", "SIERP", "--length"),
+    ("spliced", "--fixture", "--format", "json"),
+    ("spliced", "--fixture", "--f"),
+    ("spliced", "--fixture", "SIERP", "--no-such-flag"),
+    ("spliced", "--fixture", "SIERP", "--length", "x"),
+    ("spliced", "--fixture", "SIERP", "--length", "-x"),
+    ("spliced", "--fixture", "SIERP", "--length", "-"),
+    ("spliced", "--fixture", "SIERP", "--max-degree", "-2.5"),
+    ("decompose", "--fixture", "SIERP", "--format", "xml"),
+    ("homology", "--fixture", "SIERP", "--complex", "cone"),
+    ("homology", "--fixture", "SIERP", "--", "--format", "json"),
+    ("homology", "--fixture", "SIERP", "--"),
+    ("decompose", "--fixture", ""),
+    ("decompose", "--fixture", "a b"),
+    ("decompose", "--fixture", "-a b"),
+    ("decompose", "--random", "\u0663"),
+    ("decompose", "--random", "-\u0663", "--seed", "-1"),
+    ("decompose", "SIERP"),
+    ("decompose", "--fixture", "SIERP", "extra"),
+    ("decompose", "--length", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_EDGE_CASES, ids=" ".join)
+def test_edge_command_lines_parse_as_argparse_does(argv):
+    _assert_parses_as_argparse_does(argv)
+
+
+PARSE_WORDS = (
+    "decompose", "homology", "spliced", "fixtures", "list", "show", "--fixture", "--input", "--random",
+    "--seed", "--format", "--complex", "--theory", "--length", "--max-degree", "--verify-theorem", "--len",
+    "--f", "--length=3", "--verify-theorem=1", "-h", "--", "-", "", "-3", "-0", "3", "x", "\u0663", "json",
+    "xml", "table", "relative", "cohomology", "SIERP",
+)
+parse_words = st.sampled_from(PARSE_WORDS) | st.text(max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("decompose", "homology", "spliced")) | parse_words, st.lists(parse_words, max_size=7))
+def test_random_command_lines_parse_as_argparse_does(first, rest):
+    _assert_parses_as_argparse_does([first, *rest])
+
+
+def test_plain_command_lines_skip_argparse_and_share_nothing(capsys, monkeypatch, tmp_path):
+    """The workloads' command lines never reach argparse; a near miss still does."""
+
+    def refuse(self, args=None, namespace=None):
+        raise RuntimeError("argparse parse_known_args called")
+
+    path = _write(tmp_path / "space.json", space_to_dict(FIXTURES["PSEUDO_S1_DUP"]))
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for argv in _workload_argvs(path):
+        assert run(capsys, *argv)[0] == 0, argv
+    parser = cli.build_parser()
+    plain = ["spliced", "--input", path, "--verify-theorem"]
+    assert parser.parse_args(plain) is not parser.parse_args(plain)
+    with pytest.raises(RuntimeError, match="argparse"):
+        parser.parse_args(["spliced", "--input", path, "--len", "3"])
 
 
 @pytest.mark.parametrize(
