@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finsplice
-from finsplice import FIXTURES, POSET_WARNING, build_pipeline, cli, from_preorder, pipeline, preorder_from_relation, random_space
-from finsplice import IntMatrix, smith_normal_form
+from finsplice import POSET_WARNING, build_pipeline, cli, from_preorder, pipeline, preorder_from_relation, random_space
+from finsplice import FIXTURES, IntMatrix, smith_normal_form
 from finsplice.cli import main
 from finsplice.io import space_from_dict, space_to_dict
 from oracles import dense_diagonals, rp2_face_poset
