@@ -30,7 +30,6 @@ from .matrices import IntMatrix
 from .orders import Decomposition, decompose, equivalence_classes, is_poset, strictify
 from .pipeline import POSET_WARNING, PipelineData, build_pipeline
 from .spaces import (
-    FiniteSpace,
     InvalidPreorder,
     MissingEmptySet,
     MissingWholeSet,

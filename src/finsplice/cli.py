@@ -40,7 +40,7 @@ from .io import (
     space_to_dict,
 )
 from .pipeline import POSET_WARNING, PipelineData, build_pipeline
-from .spaces import FiniteSpace, InvalidPreorder, TopologyError
+from .spaces import InvalidPreorder, Preorder, TopologyError
 from .splice import compare, splice, splice_negative, spliced_cohomology, theorem_claimed_groups
 
 USAGE_ERROR = 3
@@ -150,7 +150,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_space(args, parser: _Parser) -> FiniteSpace:
+def _resolve_space(args, parser: _Parser) -> Preorder:
     chosen = [
         name
         for name, value in (("--fixture", args.fixture), ("--input", args.input), ("--random", args.random))
@@ -195,8 +195,8 @@ def _group_row(degree: int, group: GroupPresentation) -> str:
 
 def _space_block(data: PipelineData) -> dict:
     return {
-        "points": list(data.space.points),
-        "point_count": len(data.space.points),
+        "points": list(data.preorder.points),
+        "point_count": len(data.preorder.points),
         "t0": data.t0,
         "poset_warning": POSET_WARNING if data.t0 else None,
     }
@@ -227,7 +227,7 @@ def cmd_decompose(args, parser: _Parser) -> int:
     if args.format == "json":
         sys.stdout.write(dumps(report))
         return 0
-    lines = [f"points: {len(data.space.points)} (T0: {'yes' if data.t0 else 'no'})"]
+    lines = [f"points: {len(data.preorder.points)} (T0: {'yes' if data.t0 else 'no'})"]
     lines += _warning_lines(data)
     dec = data.decomposition
     lines.append("classes: " + " ".join("{" + ", ".join(escape_names(cls)) + "}" for cls in dec.classes))

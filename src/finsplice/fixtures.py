@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from .spaces import FiniteSpace, from_min_opens, from_preorder, preorder_from_relation, validate_topology
+from .spaces import Preorder, from_min_opens, preorder_from_relation, validate_topology
 
 SIERP = validate_topology(("a", "b"), ((), ("b",), ("a", "b")))
 
@@ -29,7 +29,7 @@ PSEUDO_S1_DUP = from_min_opens(
     },
 )
 
-FIXTURES: dict[str, FiniteSpace] = {
+FIXTURES: dict[str, Preorder] = {
     "SIERP": SIERP,
     "INDISC2": INDISC2,
     "PSEUDO_S1": PSEUDO_S1,
@@ -43,7 +43,7 @@ def point_names(count: int) -> tuple[str, ...]:
     return tuple(f"p{i:03d}" for i in range(count))
 
 
-def random_space(num_points: int, seed: int | None = None, rng: random.Random | None = None) -> FiniteSpace:
+def random_space(num_points: int, seed: int | None = None, rng: random.Random | None = None) -> Preorder:
     """A space from a uniform random relation, closed to a preorder.
 
     Each ordered pair of distinct points enters the relation with a
@@ -63,10 +63,10 @@ def random_space(num_points: int, seed: int | None = None, rng: random.Random | 
         for y in points
         if x != y and rng.random() < density
     }
-    return from_preorder(preorder_from_relation(points, pairs))
+    return preorder_from_relation(points, pairs)
 
 
-def random_corpus(count: int, max_points: int = 7, seed: int = 0) -> list[FiniteSpace]:
+def random_corpus(count: int, max_points: int = 7, seed: int = 0) -> list[Preorder]:
     """A reproducible list of random spaces on 1..max_points points."""
     rng = random.Random(seed)
     return [random_space(rng.randint(1, max_points), rng=rng) for _ in range(count)]

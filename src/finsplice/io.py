@@ -14,7 +14,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .spaces import FiniteSpace, from_min_opens, from_preorder, preorder_from_relation, validate_topology
+from .spaces import Preorder, from_min_opens, from_preorder, preorder_from_relation, validate_topology
 
 SPACE_FORMAT = "finsplice-space/1"
 REPORT_FORMAT = "finsplice-report/1"
@@ -24,7 +24,7 @@ class SpaceFormatError(ValueError):
     """Space file does not follow the documented schema."""
 
 
-def space_to_dict(space: FiniteSpace) -> dict:
+def space_to_dict(space: Preorder) -> dict:
     return {
         "format": SPACE_FORMAT,
         "points": list(space.points),
@@ -50,7 +50,7 @@ def _strings(value, message: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def space_from_dict(data: dict) -> FiniteSpace:
+def space_from_dict(data: dict) -> Preorder:
     if not isinstance(data, dict):
         raise SpaceFormatError("space file must hold a JSON object")
     fmt = data.get("format", SPACE_FORMAT)
@@ -87,7 +87,7 @@ def space_from_dict(data: dict) -> FiniteSpace:
     return from_preorder(preorder_from_relation(points, pairs))
 
 
-def load_space(path: str | Path) -> FiniteSpace:
+def load_space(path: str | Path) -> Preorder:
     try:
         with open(path, encoding="utf-8") as file:
             data = json.loads(file.read())
@@ -96,7 +96,7 @@ def load_space(path: str | Path) -> FiniteSpace:
     return space_from_dict(data)
 
 
-def dump_space(space: FiniteSpace, path: str | Path) -> None:
+def dump_space(space: Preorder, path: str | Path) -> None:
     Path(path).write_text(dumps(space_to_dict(space)), encoding="utf-8")
 
 

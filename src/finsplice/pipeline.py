@@ -1,8 +1,8 @@
 """The canonical pipeline from a space to the two spliced sources.
 
-`build_pipeline` builds, in order: the specialisation preorder, the
-poset/complementary decomposition, and the two order complexes (poset
-part under <=, ambient under its strictification).  On the
+`build_pipeline` takes a space as its specialisation preorder and builds,
+in order: the poset/complementary decomposition, and the two order
+complexes (poset part under <=, ambient under its strictification).  On the
 representatives the preorder is a poset, so it equals its strict order
 there, and the poset part's complex is the full subcomplex of the ambient
 one on the representatives.  The chain complexes of the poset part, of the
@@ -27,7 +27,7 @@ from .complexes import (
 )
 from .orders import decompose, strictify
 from .records import Record
-from .spaces import FiniteSpace, specialisation_preorder
+from .spaces import Preorder, specialisation_preorder
 
 POSET_WARNING = (
     "input is already a poset; the spliced construction degenerates "
@@ -36,15 +36,15 @@ POSET_WARNING = (
 
 
 class PipelineData(Record):
-    """The built stages of one space; the chain and cochain complexes are built when first read.
+    """The built stages of one preorder; the chain and cochain complexes are built when first read.
 
     The builders are called through this module's globals, so a caller that
     rebinds `chain_complex`, `relative_chain_complex` or `cochain` here sees
     every complex the pipeline builds.
     """
 
-    __slots__ = ("space", "preorder", "decomposition", "poset_complex", "ambient_complex", "__dict__")
-    _fields = ("space", "preorder", "decomposition", "poset_complex", "ambient_complex")
+    __slots__ = ("preorder", "decomposition", "poset_complex", "ambient_complex", "__dict__")
+    _fields = ("preorder", "decomposition", "poset_complex", "ambient_complex")
 
     @property
     def t0(self) -> bool:
@@ -88,11 +88,10 @@ class PipelineData(Record):
         return (self.poset_cochain, self.relative_cochain)
 
 
-def build_pipeline(space: FiniteSpace, policy: str = "least") -> PipelineData:
+def build_pipeline(space: Preorder, policy: str = "least") -> PipelineData:
     preorder = specialisation_preorder(space)
     decomposition = decompose(preorder, policy)
     return PipelineData(
-        space,
         preorder,
         decomposition,
         order_complex(preorder, decomposition.representatives, relation="leq"),

@@ -3,9 +3,9 @@
 The specialisation preorder sets x <= y exactly when x lies in the closure
 of {y}; it is reflexive and transitive but in general not antisymmetric.
 By the Alexandrov correspondence it determines the space, whose opens are
-its up-closed sets, so a `FiniteSpace` holds the preorder alone.  Opens
+its up-closed sets, so a finite space is held as its `Preorder`.  Opens
 exist only at the I/O edge: `validate_topology` reads an explicit family,
-and `FiniteSpace.opens` lists the family for the writers.
+and `Preorder.opens` lists the family for the writers.
 
 Subsets of the points are bitmasks over the sorted points, and a
 `Preorder` is one such row per point: its up-set, which is also the
@@ -111,35 +111,6 @@ def _union_closure(rows: Iterable[int], limit: int | None = None) -> set[int] | 
     return closure
 
 
-class FiniteSpace(Record):
-    """A finite topological space, held as its specialisation preorder.
-
-    Two topologies are equal exactly when their preorders are, so equality
-    and hashing come from the preorder.  The points are in lexicographic
-    order, the tie-breaker everywhere downstream.  The opens, the up-closed
-    sets, are listed on first read of `opens`.  The Sierpinski space:
-
-    >>> from finsplice import Preorder, from_preorder
-    >>> sierp = from_preorder(Preorder(("a", "b"), (0b11, 0b10)))
-    >>> sierp.points
-    ('a', 'b')
-    >>> sierp.opens
-    ((), ('a', 'b'), ('b',))
-    """
-
-    __slots__ = ("preorder", "__dict__")
-    _fields = ("preorder",)
-
-    @property
-    def points(self) -> tuple[str, ...]:
-        return self.preorder.points
-
-    @cached_property
-    def opens(self) -> tuple[tuple[str, ...], ...]:
-        """Every open, sorted, built on first use as the union-closure of the up-set rows."""
-        return tuple(sorted(map(self.preorder.unmask, _union_closure(self.preorder.up))))
-
-
 def _lowest(m: int) -> int:
     """Index of the lowest set bit of a nonzero mask."""
     return (m & -m).bit_length() - 1
@@ -169,16 +140,15 @@ class Preorder(Record):
 
     The Sierpinski space, with opens {}, {b} and {a, b}, has a <= b:
 
-    >>> from finsplice import SIERP, specialisation_preorder
-    >>> sierp = specialisation_preorder(SIERP)
-    >>> sierp.points, sierp.up, sierp.same
+    >>> from finsplice import SIERP
+    >>> SIERP.points, SIERP.up, SIERP.same
     (('a', 'b'), (3, 2), (1, 2))
-    >>> sierp.unmask(sierp.up[0])
+    >>> SIERP.unmask(SIERP.up[0])
     ('a', 'b')
     """
 
-    __slots__ = ("points", "up", "same")
-    _fields = ("points", "up")  # same is derived from up
+    __slots__ = ("points", "up", "same", "__dict__")
+    _fields = ("points", "up")  # same and opens are derived from up
 
     def __init__(self, points: Iterable[str], up: Iterable[int]):
         pts, up = tuple(points), tuple(up)
@@ -220,9 +190,20 @@ class Preorder(Record):
             m ^= low
         return tuple(out)
 
+    @cached_property
+    def opens(self) -> tuple[tuple[str, ...], ...]:
+        """Every open, sorted, built on first use as the union-closure of the up-set rows.
 
-def validate_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> FiniteSpace:
-    """The space with an explicit family of opens, the one reader of such a family.
+        The Sierpinski space:
+
+        >>> Preorder(("a", "b"), (0b11, 0b10)).opens
+        ((), ('a', 'b'), ('b',))
+        """
+        return tuple(sorted(map(self.unmask, _union_closure(self.up))))
+
+
+def validate_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> Preorder:
+    """The preorder of an explicit family of opens, the one reader of such a family.
 
     A TopologyError subclass names the first violation: bad points, an
     unknown point, a missing empty or full set.  Then the family must equal
@@ -230,7 +211,7 @@ def validate_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> 
     containing each point), in time about n times the number of members; a
     family that does not is scanned pair by pair for the first pair whose
     union (then intersection) is missing.  The minimal opens are the rows
-    of the space's preorder.
+    of the returned preorder.
     """
     pts = list(points)
     if not pts:
@@ -260,28 +241,20 @@ def validate_topology(points: Iterable[str], opens: Iterable[Iterable[str]]) -> 
         for ma, mb in itertools.combinations(ordered, 2):
             if ma & mb not in masks:
                 raise NotClosedUnderIntersection(preorder.unmask(ma), preorder.unmask(mb))
-    return FiniteSpace(preorder)
+    return preorder
 
 
-def specialisation_preorder(space: FiniteSpace) -> Preorder:
-    """The preorder with x <= y exactly when x lies in the closure of {y}.
-
-    That is, y lies in every open containing x, so the row of x is its
-    minimal open.
-    """
-    return space.preorder
+def specialisation_preorder(space: Preorder) -> Preorder:
+    """The space itself: by Alexandrov, a finite space is its specialisation preorder."""
+    return space
 
 
-def from_preorder(preorder: Preorder) -> FiniteSpace:
-    """The finite space whose opens are the up-closed sets of the relation.
-
-    With this convention the specialisation preorder of the result is the
-    input relation again.
-    """
-    return FiniteSpace(preorder)
+def from_preorder(preorder: Preorder) -> Preorder:
+    """The preorder itself: by Alexandrov, a preorder is the finite space of its up-closed sets."""
+    return preorder
 
 
-def from_min_opens(points: Iterable[str], min_opens: Mapping[str, Iterable[str]]) -> FiniteSpace:
+def from_min_opens(points: Iterable[str], min_opens: Mapping[str, Iterable[str]]) -> Preorder:
     """Build a space from minimal-open-set generators.
 
     The family is the closure of the generators (plus the empty and full
@@ -301,7 +274,7 @@ def from_min_opens(points: Iterable[str], min_opens: Mapping[str, Iterable[str]]
         if not m >> index[p] & 1:
             raise TopologyError(f"minimal open of {p!r} does not contain it")
         generators.append(m)
-    return from_preorder(Preorder(pts, _minimal_opens(generators, len(pts))))
+    return Preorder(pts, _minimal_opens(generators, len(pts)))
 
 
 def preorder_from_relation(points: Iterable[str], pairs: Iterable[tuple[str, str]]) -> Preorder:

@@ -5,12 +5,13 @@ own route (the relation as pairs, closures, the poset part's complex
 under the strict order, subcomplex inclusion, Euler
 characteristics, face labels and the `finsplice-complex/1` form, summed
 sparse columns, transposes, dense products, whole-matrix Smith forms with
-their transforms, groups from sympy's invariant factors, the block layout
-and the large-length limits of a splice), so the tests can set the two
-against each other.  `all_match` reads a comparison report for the tests
-that expect every degree to match; `rp2_face_poset` and
-`rp2_ordinal_sum` write the projective-plane space files whose groups
-carry torsion.
+their transforms, groups from sympy's invariant factors, complex sizes
+from a chain-counting recurrence, the block layout and the large-length
+limits of a splice), so the tests can set the two against each other.
+`all_match` reads a comparison report for the tests that expect every
+degree to match; `rp2_face_poset` and `rp2_ordinal_sum` write the
+projective-plane space files whose groups carry torsion, and
+`layered_poset` the layered spaces of the benchmark's ladder.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from finsplice import ChainComplex, ComparisonReport, FiniteSpace, GroupPresentation, IntMatrix, Preorder
+from finsplice import ChainComplex, ComparisonReport, GroupPresentation, IntMatrix, Preorder
 from finsplice import SimplicialComplex, SplicedComplex, all_groups, order_complex, splice, splice_negative
 from finsplice import spliced_cohomology, strictify
 from finsplice.cli import escape_names
@@ -45,13 +46,12 @@ def is_leq(preorder: Preorder, x: str, y: str) -> bool:
     return x in pts and y in pts and bool(preorder.up[pts.index(x)] >> pts.index(y) & 1)
 
 
-def closure(space: FiniteSpace, subset: Iterable[str]) -> tuple[str, ...]:
+def closure(preorder: Preorder, subset: Iterable[str]) -> tuple[str, ...]:
     """Smallest closed set containing the subset: the union of its points' closures.
 
     The closure of {y} is the down-set of y, since x <= y exactly when x
     lies in it: x is in the closure when its up row meets the subset.
     """
-    preorder = space.preorder
     target = preorder.mask_of(subset)
     return tuple(x for x, row in zip(preorder.points, preorder.up) if row & target)
 
@@ -218,6 +218,39 @@ def euler_characteristic(complex_: SimplicialComplex) -> int:
     return sum((-1) ** k * len(faces) for k, faces in enumerate(complex_.faces_by_dim))
 
 
+def counted_sizes(preorder: Preorder, representatives: Iterable[str]) -> dict[str, list[int]]:
+    """The poset, ambient and relative face counts of `PipelineData.complex_sizes`, listing no face.
+
+    Faces are chains of the strict order, y above x when y is in
+    up[x] & ~same[x].  Among chosen points, f_0(x) = 1 and f_j(x) sums
+    f_{j-1}(y) over the chosen y above x, so dimension j has the sum of
+    f_j(x) faces (Stanley, Enumerative Combinatorics I, ch. 3).  The poset
+    part chooses the representatives and the ambient every point.  A
+    relative face is an ambient chain through a complementary point:
+    g_0(x) = 1 when x is complementary, and g_j(x) is f_j(x) for a
+    complementary x and otherwise sums g_{j-1}(y) over the y above x.
+    """
+    n = len(preorder.points)
+    reps = preorder.mask_of(representatives)
+    above = [[j for j in range(n) if (preorder.up[i] & ~preorder.same[i]) >> j & 1] for i in range(n)]
+
+    def counts(chosen: int) -> list[list[int]]:
+        f, rows = [chosen >> i & 1 for i in range(n)], []
+        while any(f):
+            rows.append(f)
+            f = [sum(f[j] for j in above[i]) if chosen >> i & 1 else 0 for i in range(n)]
+        return rows
+
+    poset, ambient = counts(reps), counts((1 << n) - 1)
+    relative, g = [], [0] * n
+    for f in ambient:
+        g = [sum(g[j] for j in above[i]) if reps >> i & 1 else f[i] for i in range(n)]
+        relative.append(sum(g))
+    while relative and not relative[-1]:
+        relative.pop()
+    return {"poset": [sum(f) for f in poset], "ambient": [sum(f) for f in ambient], "relative": relative}
+
+
 # The 6-vertex real projective plane, as its ten triangles.
 RP2_TRIANGLES = ("123", "126", "134", "145", "156", "235", "245", "246", "346", "356")
 
@@ -253,6 +286,23 @@ def rp2_ordinal_sum(doubled: bool) -> dict:
         lower.append("l1'")
         leq += [["l1", "l1'"], ["l1'", "l1"]]
     return {"points": lower + upper, "leq": leq}
+
+
+def layered_poset(levels: int, width: int, doubled: int) -> dict:
+    """A `leq` space document: the benchmark's levels x width x doubled shape.
+
+    Level i holds the points "<letter i><j>" for j below the width, and every
+    point lies below every point of the next level.  The first point of each
+    of the lowest `doubled` levels gets a twin; the face counts do not depend
+    on which levels or points are doubled.
+    """
+    names = [[f"{chr(ord('a') + i)}{j}" for j in range(width)] for i in range(levels)]
+    points = [p for level in names for p in level]
+    leq = [[x, y] for lower, upper in zip(names, names[1:]) for x in lower for y in upper]
+    for level in names[:doubled]:
+        points.append(level[0] + "'")
+        leq += [[level[0], level[0] + "'"], [level[0] + "'", level[0]]]
+    return {"points": points, "leq": leq}
 
 
 class LengthTooSmall(ValueError):

@@ -80,9 +80,9 @@ def test_criterion_2_subcomplex(pipelines):
     for data in pipelines:
         sub_complex = strict_poset_complex(data)
         if not is_subcomplex(sub_complex, data.ambient_complex):
-            failures.append(data.space)
+            failures.append(data.preorder)
         if data.poset_complex != sub_complex:
-            failures.append(data.space)
+            failures.append(data.preorder)
     report(2, not failures, "inclusion and relation coincidence over 500 spaces")
     assert not failures
 
@@ -165,7 +165,7 @@ def test_criterion_5_theorem_harness(pipelines):
                 for row in report_p.rows
                 if row.verdict != "match"
             ]
-            poset_failures.append((tuple(data.space.points), rows))
+            poset_failures.append((tuple(data.preorder.points), rows))
     clause2 = not poset_failures
 
     detail = "clause 1 (PSEUDO_S1_DUP exact values) " + ("ok" if clause1 else "failed")
@@ -193,7 +193,7 @@ def test_criterion_6_limit_statement(pipelines):
     for data in pipelines:
         length = max(data.poset_cochain.top_degree + 1, 1)
         if not limit_check(data.sources, length):
-            failures.append(data.space.points)
+            failures.append(data.preorder.points)
     report(6, not failures, "both orientations over 500 spaces")
     assert not failures
 

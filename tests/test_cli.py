@@ -726,6 +726,8 @@ def test_plain_command_lines_skip_argparse_and_share_nothing(capsys, monkeypatch
             "spliced", "--fixture", "PSEUDO_S1_DUP", "--length", "-3",
             "--max-degree", "13", "--verify-theorem", "--format", "json",
         ),
+        ("fixtures", "show", "PSEUDO_S1_DUP"),
+        ("fixtures", "show", "PSEUDO_S1"),
     ],
 )
 def test_json_reports_are_byte_identical_across_processes(args):

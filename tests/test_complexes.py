@@ -32,12 +32,14 @@ from finsplice.complexes import COHOMOLOGICAL, HOMOLOGICAL, checked_complex
 from finsplice.io import space_from_dict
 from oracles import (
     complex_to_dict,
+    counted_sizes,
     dense_group,
     dimension,
     euler_characteristic,
     faces,
     from_columns,
     is_subcomplex,
+    layered_poset,
     naive_product,
     relation_pairs,
     rp2_face_poset,
@@ -191,6 +193,24 @@ def test_complex_sizes_are_the_built_dimensions(pipelines):
     assert (trimmed, empty) == (3, 316)
 
 
+def test_complex_sizes_equal_the_chain_counting_recurrence(pipelines):
+    documents = [rp2_face_poset(variant) for variant in ("plain", "12-doubled", "cone-doubled")]
+    documents += [rp2_ordinal_sum(doubled) for doubled in (False, True)]
+    documents += [layered_poset(*shape) for shape in ((5, 2, 1), (4, 3, 3), (6, 4, 4), (7, 4, 4))]
+    spaces = [*FIXTURES.values(), *map(space_from_dict, documents)]
+    for data in [*pipelines, *map(build_pipeline, spaces)]:
+        assert counted_sizes(data.preorder, data.decomposition.representatives) == data.complex_sizes
+    # 10x5x5 is too large to list: 6^10 - 1 chains of the poset part and
+    # 7^5 * 6^5 - 1 of the ambient order, five of whose levels hold a twin.
+    preorder = space_from_dict(layered_poset(10, 5, 5))
+    sizes = counted_sizes(preorder, decompose(preorder).representatives)
+    assert {name: sum(counts) for name, counts in sizes.items()} == {
+        "poset": 6**10 - 1,
+        "ambient": 7**5 * 6**5 - 1,
+        "relative": 70_225_056,
+    }
+
+
 def test_single_vertex_chain_complex():
     sc = SimplicialComplex(((("v",),),))
     cc = chain_complex(sc)
@@ -251,7 +271,7 @@ def test_rp2_ordinal_sum_carries_torsion_through_the_relative_route(doubled):
     # which puts a Z/2 at relative H^5; without it the relative complex is zero.
     data = build_pipeline(space_from_dict(rp2_ordinal_sum(doubled)))
     points, faces = (63, 36945) if doubled else (62, 33123)
-    assert (len(data.space.points), sum(data.ambient_complex.face_counts())) == (points, faces)
+    assert (len(data.preorder.points), sum(data.ambient_complex.face_counts())) == (points, faces)
     z, z2, zero = GroupPresentation(1), GroupPresentation(0, (2,)), GroupPresentation(0)
     assert all_groups(data.poset_cochain) == (z, zero, zero, zero, z2, z2)
     assert all_groups(data.relative_cochain) == ((zero,) * 5 + (z2,) if doubled else ())
@@ -295,6 +315,20 @@ def test_compositions_are_zero(pipelines):
                 assert product.is_zero()
                 checked += 1
     assert checked > 400
+    # Beyond the dense range the oracle is the exact product, each column summed by `from_columns`.
+    documents = [rp2_face_poset(variant) for variant in ("plain", "12-doubled", "cone-doubled")]
+    documents += [rp2_ordinal_sum(doubled) for doubled in (False, True)]
+    documents += [layered_poset(*shape) for shape in ((5, 2, 1), (4, 3, 3), (6, 4, 4))]
+    large = 0
+    for data in map(build_pipeline, map(space_from_dict, documents)):
+        for cc in (data.poset_chain, data.ambient_chain, data.relative_chain):
+            for a, b in zip(cc.maps[1:], cc.maps):
+                terms = ([(i, x * y) for k, y in column for i, x in a.columns[k]] for column in b.columns)
+                product = a.mul(b)
+                assert product == from_columns(a.rows, b.cols, terms)
+                assert product.is_zero()
+                large += 1
+    assert large == 58
 
 
 def test_chain_complex_rejects_unit_terms_that_do_not_pair_up():

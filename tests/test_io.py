@@ -36,7 +36,7 @@ def test_space_round_trip(name):
 
 def _file_forms(space):
     """The space written in each of the three file forms."""
-    points, preorder = list(space.points), space.preorder
+    points, preorder = list(space.points), space
     return {
         "opens": {"points": points, "opens": [list(o) for o in space.opens]},
         "min_opens": {"points": points, "min_opens": dict(zip(points, map(preorder.unmask, preorder.up)))},
@@ -262,7 +262,7 @@ def test_dumps_matches_the_indenting_encoder_on_corpus_reports(monkeypatch, tmp_
     argvs = []
     for i, data in enumerate(pipelines[:250]):
         path = tmp_path / f"space{i}.json"
-        dump_space(data.space, path)
+        dump_space(data.preorder, path)
         argvs.append(["spliced", "--input", str(path), "--max-degree", "7", "--verify-theorem", "--format", "json"])
     written = _reports(monkeypatch, argvs)
     assert len(written) == 250

@@ -18,7 +18,6 @@ from finsplice import (
     cochain,
     compare,
     decompose,
-    from_preorder,
     order_complex,
     specialisation_preorder,
     splice,
@@ -47,7 +46,6 @@ FACTORIES = {
     "ComparisonReport": (_report, "rows"),
     "Preorder": (lambda: Preorder(("a", "b"), (0b11, 0b10)), "up"),
     "ChainComplex": (lambda: build_pipeline(PSEUDO_S1).poset_chain, "maps"),
-    "FiniteSpace": (lambda: from_preorder(Preorder(("a", "b"), (0b11, 0b10))), "preorder"),
     "SplicedComplex": (lambda: splice(build_pipeline(PSEUDO_S1_DUP).sources, 3), "length"),
 }
 
@@ -77,7 +75,7 @@ def test_a_complex_keeps_its_smith_table_and_shares_its_maps_with_its_cochain():
 
 
 def test_the_three_input_forms_of_one_space_give_one_value():
-    preorder = PSEUDO_S1_DUP.preorder
+    preorder = PSEUDO_S1_DUP
     points = list(preorder.points)
     documents = [
         {"points": points, "opens": [list(o) for o in PSEUDO_S1_DUP.opens]},

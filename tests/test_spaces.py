@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from finsplice import (
     FIXTURES,
-    FiniteSpace,
     INDISC2,
     InvalidPreorder,
     MissingWholeSet,

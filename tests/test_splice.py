@@ -138,7 +138,7 @@ def test_claim_table_transcribes_the_six_stated_reads(pipelines):
     for data in [build_pipeline(space) for space in [*FIXTURES.values(), *rp2]] + pipelines[:100]:
         for max_degree in range(24):
             claimed = theorem_claimed_groups(*data.sources, max_degree)
-            assert claimed == transcribed_claim(*data.sources, max_degree), (data.space, max_degree)
+            assert claimed == transcribed_claim(*data.sources, max_degree), (data.preorder, max_degree)
 
 
 def kernel_cokernel_cochains():
@@ -315,7 +315,7 @@ def test_closed_form_matches_assembled_complex(pipelines):
     for data, negative_lengths in cases:
         for spliced in closed_form_splices(data, negative_lengths):
             direct = (all_groups(spliced.assembled) + (TRIVIAL,) * degrees)[:degrees]
-            assert spliced_cohomology(spliced, degrees - 1) == direct, (data.space, spliced.length)
+            assert spliced_cohomology(spliced, degrees - 1) == direct, (data.preorder, spliced.length)
             checked += 1
             with_torsion += sum(1 for group in direct if group.torsion)
     assert (checked, with_torsion) == (254 * 24 + 3 * 25, 46)
