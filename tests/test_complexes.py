@@ -193,11 +193,16 @@ def test_complex_sizes_are_the_built_dimensions(pipelines):
     assert (trimmed, empty) == (3, 316)
 
 
-def test_complex_sizes_equal_the_chain_counting_recurrence(pipelines):
+def large_spaces(*shapes):
+    """The RP2 variants, both RP2 ⊕ RP2 spaces and the layered spaces of the given shapes."""
     documents = [rp2_face_poset(variant) for variant in ("plain", "12-doubled", "cone-doubled")]
     documents += [rp2_ordinal_sum(doubled) for doubled in (False, True)]
-    documents += [layered_poset(*shape) for shape in ((5, 2, 1), (4, 3, 3), (6, 4, 4), (7, 4, 4))]
-    spaces = [*FIXTURES.values(), *map(space_from_dict, documents)]
+    documents += [layered_poset(*shape) for shape in shapes]
+    return [space_from_dict(document) for document in documents]
+
+
+def test_complex_sizes_equal_the_chain_counting_recurrence(pipelines):
+    spaces = [*FIXTURES.values(), *large_spaces((5, 2, 1), (4, 3, 3), (6, 4, 4), (7, 4, 4))]
     for data in [*pipelines, *map(build_pipeline, spaces)]:
         assert counted_sizes(data.preorder, data.decomposition.representatives) == data.complex_sizes
     # 10x5x5 is too large to list: 6^10 - 1 chains of the poset part and
@@ -316,11 +321,8 @@ def test_compositions_are_zero(pipelines):
                 checked += 1
     assert checked > 400
     # Beyond the dense range the oracle is the exact product, each column summed by `from_columns`.
-    documents = [rp2_face_poset(variant) for variant in ("plain", "12-doubled", "cone-doubled")]
-    documents += [rp2_ordinal_sum(doubled) for doubled in (False, True)]
-    documents += [layered_poset(*shape) for shape in ((5, 2, 1), (4, 3, 3), (6, 4, 4))]
     large = 0
-    for data in map(build_pipeline, map(space_from_dict, documents)):
+    for data in map(build_pipeline, large_spaces((5, 2, 1), (4, 3, 3), (6, 4, 4))):
         for cc in (data.poset_chain, data.ambient_chain, data.relative_chain):
             for a, b in zip(cc.maps[1:], cc.maps):
                 terms = ([(i, x * y) for k, y in column for i, x in a.columns[k]] for column in b.columns)

@@ -36,11 +36,11 @@ def test_space_round_trip(name):
 
 def _file_forms(space):
     """The space written in each of the three file forms."""
-    points, preorder = list(space.points), space
+    points = list(space.points)
     return {
         "opens": {"points": points, "opens": [list(o) for o in space.opens]},
-        "min_opens": {"points": points, "min_opens": dict(zip(points, map(preorder.unmask, preorder.up)))},
-        "leq": {"points": points, "leq": [list(pair) for pair in sorted(relation_pairs(preorder))]},
+        "min_opens": {"points": points, "min_opens": dict(zip(points, map(space.unmask, space.up)))},
+        "leq": {"points": points, "leq": [list(pair) for pair in sorted(relation_pairs(space))]},
     }
 
 
