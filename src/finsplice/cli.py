@@ -169,9 +169,17 @@ def _resolve_space(args, parser: _Parser) -> Preorder:
     return load_space(args.input)
 
 
+_NAME_ESCAPES = str.maketrans(
+    {"\\": "\\\\", ",": "\\,", "{": "\\{", "}": "\\}"}
+    | {c: f"\\u{ord(c):04x}" for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+)
+
+
 def escape_names(names: Iterable[str]) -> list[str]:
-    """Each name with a `\\` before each `\\`, `,`, `{` and `}`, so the `decompose` table's lines read back uniquely."""
-    return [v.replace("\\", "\\\\").replace(",", "\\,").replace("{", "\\{").replace("}", "\\}") for v in names]
+    """Each name with a `\\` before each `\\`, `,`, `{` and `}`, and each character
+    at which `str.splitlines` breaks written as `\\u` and four hex digits, so
+    the `decompose` table's lines read back uniquely."""
+    return [v.translate(_NAME_ESCAPES) for v in names]
 
 
 def _group_dicts(groups: Sequence[GroupPresentation]) -> list[dict]:

@@ -20,10 +20,12 @@ complex, the dual Hom(C, Z), holds its chain's maps as they are (see
 checked in `io` and `spaces`.  The builders check only a library caller's
 arguments: `order_complex` raises `NotAPoset` on chosen points that are
 repeated or twins, and `cochain` rejects a complex of the wrong
-direction.  The one check on the program's own output, that consecutive
-differentials compose to zero, is in `checked_complex`, which chain,
-relative and spliced complexes go through; a cochain shares its chain's
-maps and check.
+direction.  No builder multiplies its maps: boundaries of sorted faces
+closed under taking facets compose to zero, and so do their restrictions
+to the upward-closed relative faces.  `checked_complex` multiplies each
+pair of consecutive maps and raises unless the product is zero;
+`SplicedComplex.assembled` and the tests build through it, and
+`test_compositions_are_zero` multiplies out the chain and relative maps.
 """
 
 from __future__ import annotations
@@ -115,8 +117,8 @@ class ChainComplex(Record):
     degree k by their place, maps[k] above and maps[k-1] below, and only
     `SmithTable.group`, which takes the torsion from the one entering
     degree k, reads the direction.  basis[k] lists the degree-k basis
-    elements, faces for the complexes made here.  Built through
-    `checked_complex`, its maps compose to zero and its top degree is
+    elements, faces for the complexes made here.  Built by `_coboundaries`
+    or `checked_complex`, its maps compose to zero and its top degree is
     nonempty.  `smith` assumes both the coboundary layout and maps that
     compose to zero: `SmithTable.of` reduces the maps bottom-up as they
     are stored, and deletes the columns of the coboundary out of degree k
@@ -158,21 +160,25 @@ def checked_complex(
 ) -> ChainComplex:
     """The complex, trailing empty degrees dropped, once its maps compose to zero.
 
+    `SplicedComplex.assembled` and the tests build complexes through here.
     The maps are in the one layout of `ChainComplex` whatever the direction,
     so the check is maps[i+1] times maps[i]; for a chain complex that
     product is the transpose of the composite boundary.  A map whose shape
     does not meet its neighbour's raises in `IntMatrix.mul`.  An all-empty
     basis gives the zero complex.
     """
-    top = -1
-    for k, faces in enumerate(basis):
-        if faces:
-            top = k
-    basis, maps = tuple(basis[: top + 1]), tuple(maps[: max(top, 0)])
+    basis = _through_top(basis)
+    maps = tuple(maps[: max(len(basis) - 1, 0)])
     for i in range(len(maps) - 1):
         if not maps[i + 1].mul(maps[i]).is_zero():
             raise ValueError(f"differentials at degrees {i}..{i + 2} do not compose to zero")
     return ChainComplex(direction, basis, maps)
+
+
+def _through_top(basis: Sequence[Sequence[tuple[str, ...]]]) -> tuple:
+    """The degrees of `basis` up to its last nonempty one; none when every degree is empty."""
+    top = max((k for k, faces in enumerate(basis) if faces), default=-1)
+    return tuple(basis[: top + 1])
 
 
 def chain_complex(complex_: SimplicialComplex) -> ChainComplex:
@@ -197,15 +203,20 @@ def relative_chain_complex(ambient: SimplicialComplex, points: Iterable[str]) ->
 def _coboundaries(basis: Sequence[tuple[tuple[str, ...], ...]]) -> ChainComplex:
     """The homological complex on the basis, faces by degree, each degree sorted and closed upward.
 
-    The boundary of a face is the alternating sum over deleted vertices:
+    `chain_complex` and `relative_chain_complex` build through here.  Trailing
+    empty degrees, which only a relative basis has, are dropped: a T0
+    space's relative basis gives the zero complex.  The boundary of a face
+    is the alternating sum over deleted vertices:
     `combinations(face, k)` lists the facets from the last vertex deleted to
     the first, so their signs run (-1)^k down to (-1)^0.  Each k-face
     appends itself, with that sign, to the coboundary column of each of its
     facets in the basis, sharing its two (row, +-1) pairs; a facet outside
     the basis lands in a spare last column that is dropped.  The faces come
     in sorted order and meet each facet once, so every column comes out
-    sorted with no entry summed.
+    sorted with no entry summed.  The maps compose to zero (see the module
+    docstring), so nothing here multiplies them.
     """
+    basis = _through_top(basis)
     maps = []
     for k in range(1, len(basis)):
         rows = {face: i for i, face in enumerate(basis[k - 1])}
@@ -216,7 +227,7 @@ def _coboundaries(basis: Sequence[tuple[tuple[str, ...], ...]]) -> ChainComplex:
             for facet, sign in zip(combinations(face, k), odd):
                 columns[rows.get(facet, -1)].append(entries[sign])
         maps.append(IntMatrix(len(basis[k]), len(rows), tuple(map(tuple, columns[:-1]))))
-    return checked_complex(HOMOLOGICAL, basis, maps)
+    return ChainComplex(HOMOLOGICAL, basis, tuple(maps))
 
 
 def cochain(chain: ChainComplex) -> ChainComplex:
@@ -225,9 +236,8 @@ def cochain(chain: ChainComplex) -> ChainComplex:
     The chain complex stores each map as the coboundary, maps[k] from
     degree k to k+1, and reads it transposed; the dual reads it as it is.
     So the dual's table is the chain's: `SmithTable.of` reduces the same
-    stored maps for either.  The chain's maps compose to zero, so the dual
-    is wrapped without repeating that check.  The four-point circle has
-    H^1 = Z:
+    stored maps for either, and the dual's maps compose to zero as the
+    chain's do.  The four-point circle has H^1 = Z:
 
     >>> from finsplice import PSEUDO_S1, build_pipeline
     >>> circle = build_pipeline(PSEUDO_S1).poset_chain

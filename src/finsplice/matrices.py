@@ -6,11 +6,8 @@ row order: a coboundary of an order complex holds, in the column of a
 face, one nonzero per face one degree up that contains it, so a product
 costs what the nonzeros cost, not rows x cols.  Shapes are explicit even
 when a dimension is zero, which matters for the empty maps at the ends of
-a chain complex.  `mul` splits each left column once into its +1 rows and
-its -1 rows; a product column whose terms are all +1 or -1 times such
-columns is the difference of two row lists, and it is zero when they are
-equal as sorted lists, as in d*d = 0.
-Every other product column is summed exactly.
+a chain complex.  `mul` sums each product column exactly; only
+`complexes.checked_complex` and the tests multiply.
 
 `IntMatrix(rows, cols, columns)` takes the stored form as it is and checks
 nothing: its caller, here, in `complexes` or in `homology`, guarantees
@@ -54,14 +51,7 @@ class IntMatrix(NamedTuple):
         return tuple(map(tuple, self.to_lists()))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
-        """The product.
-
-        One pass over each left column lists its +1 rows and its -1 rows,
-        or None for both when it holds another value.  A product column
-        whose terms are all +1 or -1 and refer to such columns gathers the
-        rows its terms add and the rows they subtract; it is () when the
-        two lists are equal once sorted.  Any other column, and a column
-        whose lists differ, is summed exactly.
+        """The product, each column summed exactly.
 
         The triangle's coboundary from vertices to edges, after the one
         from edges to its face (row 0), composes to zero; row 1 of the left
@@ -73,40 +63,8 @@ class IntMatrix(NamedTuple):
         """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        left = self.columns
-        ones, minus_ones = [], []
-        for column in left:
-            plus, minus = [], []
-            for i, x in column:
-                if x == 1:
-                    plus.append(i)
-                elif x == -1:
-                    minus.append(i)
-                else:
-                    plus = minus = None
-                    break
-            ones.append(plus)
-            minus_ones.append(minus)
-        product = []
+        left, product = self.columns, []
         for column in other.columns:
-            plus, minus = [], []
-            for k, y in column:
-                if ones[k] is None:
-                    break
-                if y == 1:
-                    plus += ones[k]
-                    minus += minus_ones[k]
-                elif y == -1:
-                    plus += minus_ones[k]
-                    minus += ones[k]
-                else:
-                    break
-            else:
-                plus.sort()
-                minus.sort()
-                if plus == minus:
-                    product.append(())
-                    continue
             total: dict[int, int] = {}
             for k, y in column:
                 for i, x in left[k]:

@@ -7,10 +7,10 @@ representatives the preorder is a poset, so it equals its strict order
 there, and the poset part's complex is the full subcomplex of the ambient
 one on the representatives.  The chain complexes of the poset part, of the
 ambient order and of the ambient order relative to the poset part, and
-the two cochain complexes that feed the splicer, are each built, and
-their d∘d checked, on first read; each map is stored as the coboundary
-the cochains read (see `complexes`).  The face counts give the complex
-sizes without building any of them.
+the two cochain complexes that feed the splicer, are each built on first
+read; each map is stored as the coboundary the cochains read (see
+`complexes`).  The face counts give the complex sizes without building
+any of them.
 """
 
 from __future__ import annotations

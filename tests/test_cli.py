@@ -337,10 +337,16 @@ COMMA_SPACES = {
     "not-T0": (COMMA_POINTS, [["a", "b,c"], ["a,b", "c"], ["a,b", "b,c"], ["b,c", "a,b"]]),
     "twin-a": (COMMA_POINTS, [["a", "b,c"], ["b,c", "a"], ["a,b", "c"]]),
     "braces": (["a", "a} {b", "b", "c"], [["a", "c"], ["a} {b", "b"], ["b", "a} {b"]]),
+    "line-break": (
+        ["a", "b\nrepresentatives: z", "c"],
+        [["a", "b\nrepresentatives: z"], ["b\nrepresentatives: z", "a"], ["a", "c"]],
+    ),
 }
 # The decompose table escapes names as face labels do; unescaped, "twin-a"
-# would read "{a, b,c} {a,b} {c}" and "representatives: a, a,b, c", and the
-# single point "a} {b" would read as the two classes {a} and {b}.
+# would read "{a, b,c} {a,b} {c}" and "representatives: a, a,b, c", the
+# single point "a} {b" would read as the two classes {a} and {b}, and the
+# point "b\nrepresentatives: z" would split the table with a second
+# "representatives:" line.
 COMMA_TABLES = {
     "T0": [
         "points: 4 (T0: yes)",
@@ -367,6 +373,12 @@ COMMA_TABLES = {
         "representatives: a, a\\} \\{b, c",
         "complementary: b",
     ],
+    "line-break": [
+        "points: 3 (T0: no)",
+        "classes: {a, b\\u000arepresentatives: z} {c}",
+        "representatives: a, c",
+        "complementary: b\\u000arepresentatives: z",
+    ],
 }
 
 
@@ -374,9 +386,9 @@ COMMA_TABLES = {
 @pytest.mark.parametrize("command", REPORT_COMMANDS)
 def test_point_names_with_commas_label_faces_injectively(capsys, tmp_path, variant, command):
     # The faces (a, "b,c") and ("a,b", c) would share the label "a,b,c".
-    # Dropping the commas and braces keeps the order of the points, so the reports agree.
+    # Dropping the commas, braces and line breaks keeps the order of the points, so the reports agree.
     points, leq = COMMA_SPACES[variant]
-    renamed = {p: p.replace(",", "").replace("{", "").replace("}", "") for p in points}
+    renamed = {p: p.replace(",", "").replace("{", "").replace("}", "").replace("\n", "") for p in points}
     with_commas = _write(tmp_path / "commas.json", {"points": points, "leq": leq})
     plain = _write(
         tmp_path / "plain.json",
@@ -441,18 +453,18 @@ SPACE_SOURCES = {
 def test_commands_never_list_the_opens(monkeypatch, capsys, tmp_path, source, command):
     """Only the writers of space files list the opens; a space is its preorder.
 
-    Nor does a command take a dense view of a matrix: `from_rows`, `entries`
-    and `to_lists` raise while it runs.
+    Nor does a command take a dense view of a matrix or multiply matrices:
+    `from_rows`, `entries`, `to_lists` and `mul` raise while it runs.
     """
-    spaces, dense_views = [], []
+    spaces, refused = [], []
 
     def refuse(name):
-        def dense(*args, **kwargs):
-            dense_views.append(name)
+        def called(*args, **kwargs):
+            refused.append(name)
             raise AssertionError(f"a command called IntMatrix.{name}")
-        return dense
+        return called
 
-    for name in ("from_rows", "to_lists"):
+    for name in ("from_rows", "to_lists", "mul"):
         monkeypatch.setattr(IntMatrix, name, refuse(name))
     monkeypatch.setattr(IntMatrix, "entries", property(refuse("entries")))
 
@@ -465,7 +477,7 @@ def test_commands_never_list_the_opens(monkeypatch, capsys, tmp_path, source, co
     monkeypatch.setattr(cli, "load_space", keep(cli.load_space))
     monkeypatch.setattr(cli, "random_space", keep(cli.random_space))
     code, out, _ = run(capsys, *command, *SPACE_SOURCES[source](tmp_path), "--format", "json")
-    assert dense_views == []
+    assert refused == []
     assert code == 0 and out
     assert len(spaces) == 1
     assert "opens" not in vars(spaces[0])

@@ -308,7 +308,8 @@ def test_cochain_of_circle_is_transpose(circle_complex):
 
 
 def test_compositions_are_zero(pipelines):
-    # The naive dense product is the oracle for the +-1 short cut of `mul`.
+    # No run multiplies the maps its builders write; this is where d∘d = 0 is
+    # checked, against the naive dense product.
     datas = pipelines + [build_pipeline(space) for space in FIXTURES.values()] + [build_pipeline(_layered_with_twin())]
     checked = 0
     for data in datas:
@@ -335,10 +336,10 @@ def test_compositions_are_zero(pipelines):
 
 def test_chain_complex_rejects_unit_terms_that_do_not_pair_up():
     # The triangle's boundary bc - ac + ab with the sign of ab flipped: every
-    # term of the composite is +1 or -1, it adds rows [a, a, c] and subtracts
-    # rows [b, b, c], and it is 2a - 2b.  The complex holds the transposes,
-    # whose composite at vertex a adds the face twice, at b subtracts it
-    # twice, and at c adds and subtracts it once.
+    # term of the composite is +1 or -1, and it is 2a - 2b, the vertex c
+    # cancelling.  The complex holds the transposes, whose composite at
+    # vertex a adds the face twice, at b subtracts it twice, and at c adds
+    # and subtracts it once.
     first = IntMatrix.from_rows([[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
     second = IntMatrix.from_rows([[-1], [-1], [1]])
     assert first.mul(second).to_lists() == [[2], [-2], [0]]
