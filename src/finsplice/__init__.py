@@ -45,8 +45,6 @@ from .spaces import (
     validate_topology,
 )
 from .splice import (
-    ComparisonReport,
-    ComparisonRow,
     InvalidLength,
     NoSources,
     SplicedComplex,

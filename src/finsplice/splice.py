@@ -12,13 +12,14 @@ dropping the map above it, below it or both, read from the sources'
 Smith tables whatever the length.  The closed-form table claimed for the
 length-3 splice of a poset-part cochain complex with a relative cochain
 complex is read the same way, degree by degree, so the direct and the
-claimed groups are two aligned tuples.  Disagreements are findings, not
-errors; the comparison report states both sides verbatim.
+claimed groups are two aligned tuples.  Both sides are lists of places,
+(source, degree, above, below), read by one function.  Disagreements are
+findings, not errors: `compare` returns one verdict per degree.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import COHOMOLOGICAL, ChainComplex, checked_complex
 from .homology import GroupPresentation
@@ -96,12 +97,13 @@ def spliced_cohomology(spliced: SplicedComplex, max_degree: int) -> tuple[GroupP
     keeps every map, so its groups are its own.
     """
     n, s = abs(spliced.length), len(spliced.sources)
-    groups = []
-    for degree in range(max_degree + 1):
-        k, r = divmod(degree, n)
-        table = spliced.sources[k % s].smith
-        groups.append(table.group(k // s * n + r, above=r < n - 1 or s == 1, below=r > 0 or s == 1))
-    return tuple(groups)
+    blocks = (divmod(degree, n) for degree in range(max_degree + 1))
+    return _read(spliced.sources, [(k % s, k // s * n + r, r < n - 1 or s == 1, r > 0 or s == 1) for k, r in blocks])
+
+
+def _read(sources: Sequence[ChainComplex], places: Iterable[tuple]) -> tuple[GroupPresentation, ...]:
+    """The group at each (source, degree, above, below) place, from that source's Smith table."""
+    return tuple(sources[i].smith.group(degree, above, below) for i, degree, above, below in places)
 
 
 # Row j gives the claimed group at degree 6p + j: the source (0 for complex
@@ -128,49 +130,17 @@ def theorem_claimed_groups(
     """
     if complex1.direction != COHOMOLOGICAL or complex2.direction != COHOMOLOGICAL:
         raise ValueError("the claimed groups are stated for cochain complexes")
-    tables = complex1.smith, complex2.smith
-    groups = []
-    for degree in range(max_degree + 1):
-        p, j = divmod(degree, 6)
-        source, offset, above, below = CLAIM_TABLE[j]
-        groups.append(tables[source].group(3 * p + offset, above, below))
-    return tuple(groups)
+    rows = zip(range(max_degree + 1), CLAIM_TABLE * (max_degree // 6 + 1))
+    places = [(i, degree // 6 * 3 + d, above, below) for degree, (i, d, above, below) in rows]
+    return _read((complex1, complex2), places)
 
 
 MATCH = "match"
 MISMATCH = "mismatch"
 
 
-class ComparisonRow(NamedTuple):
-    degree: int
-    direct: GroupPresentation
-    claimed: GroupPresentation
-    verdict: str
-
-
-class ComparisonReport(NamedTuple):
-    """Per-degree verdicts of direct versus claimed groups."""
-
-    rows: tuple[ComparisonRow, ...]
-
-    def counts(self) -> dict[str, int]:
-        # Every degree has a claimed group, so "uncovered" is always 0; it
-        # stays in the summary so that `finsplice-report/1` reports keep their bytes.
-        out = {MATCH: 0, MISMATCH: 0, "uncovered": 0}
-        for row in self.rows:
-            out[row.verdict] += 1
-        return out
-
-    def summary(self) -> str:
-        c = self.counts()
-        return f"{c[MATCH]} match / {c[MISMATCH]} mismatch / {c['uncovered']} uncovered"
-
-
-def compare(direct: Sequence[GroupPresentation], claimed: Sequence[GroupPresentation]) -> ComparisonReport:
-    """Verdict per degree of two aligned tuples; a mismatch is a finding, never an exception."""
+def compare(direct: Sequence[GroupPresentation], claimed: Sequence[GroupPresentation]) -> tuple[str, ...]:
+    """`MATCH` or `MISMATCH` per degree of two aligned tuples; a mismatch is a finding, never an exception."""
     if len(direct) != len(claimed):
         raise ValueError(f"{len(direct)} direct groups against {len(claimed)} claimed")
-    return ComparisonReport(tuple(
-        ComparisonRow(degree, d, c, MATCH if d == c else MISMATCH)
-        for degree, (d, c) in enumerate(zip(direct, claimed))
-    ))
+    return tuple(MATCH if d == c else MISMATCH for d, c in zip(direct, claimed))

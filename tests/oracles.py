@@ -6,11 +6,12 @@ under the strict order, subcomplex inclusion, Euler
 characteristics, face labels and the `finsplice-complex/1` form, summed
 sparse columns, transposes, dense products, whole-matrix Smith forms with
 their transforms, groups from sympy's invariant factors, complex sizes
-from a chain-counting recurrence, the block layout and the large-length
-limits of a splice), so the tests can set the two against each other.
-`all_match` reads a comparison report for the tests that expect every
-degree to match; `rp2_face_poset` and `rp2_ordinal_sum` write the
-projective-plane space files whose groups carry torsion, and
+from a chain-counting recurrence, relative groups by the inflation route
+and a poset's groups by its ordinal summands, the block layout and the
+large-length limits of a splice), so the tests can set the two against
+each other.  `all_match` reads `compare`'s verdicts for the tests that
+expect every degree to match; `rp2_face_poset` and `rp2_ordinal_sum` write
+the projective-plane space files whose groups carry torsion, and
 `layered_poset` the layered spaces of the benchmark's ladder.
 """
 
@@ -18,14 +19,15 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from finsplice import ChainComplex, ComparisonReport, GroupPresentation, IntMatrix, Preorder
+from finsplice import ChainComplex, GroupPresentation, IntMatrix, Preorder
 from finsplice import SimplicialComplex, SplicedComplex, all_groups, order_complex, splice, splice_negative
-from finsplice import spliced_cohomology, strictify
+from finsplice import chain_complex, spliced_cohomology, strictify
 from finsplice.cli import escape_names
 from finsplice.complexes import COHOMOLOGICAL, HOMOLOGICAL
 from finsplice.homology import _diagonalize
@@ -209,9 +211,9 @@ def splice_blocks(spliced: SplicedComplex) -> list[tuple[int, int, int]]:
     return [(k % s, k // s * n, k * n) for k in range(rounds * s)]
 
 
-def all_match(report: ComparisonReport) -> bool:
-    """Every row of the comparison is a match."""
-    return all(row.verdict == MATCH for row in report.rows)
+def all_match(verdicts: Sequence[str]) -> bool:
+    """Every verdict of the comparison is a match."""
+    return all(verdict == MATCH for verdict in verdicts)
 
 
 def euler_characteristic(complex_: SimplicialComplex) -> int:
@@ -249,6 +251,114 @@ def counted_sizes(preorder: Preorder, representatives: Iterable[str]) -> dict[st
     while relative and not relative[-1]:
         relative.pop()
     return {"poset": [sum(f) for f in poset], "ambient": [sum(f) for f in ambient], "relative": relative}
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _strict_up(preorder: Preorder) -> list[int]:
+    """Row i: the points strictly above points[i]."""
+    return [row & ~same for row, same in zip(preorder.up, preorder.same)]
+
+
+def _ordinal_summands(preorder: Preorder, mask: int) -> list[int]:
+    """The points of `mask`, a poset, cut into ordinal summands Q1 < Q2 < ..., each as a mask.
+
+    The points are taken by decreasing strict up-set, a linear extension,
+    and a cut falls wherever every point taken so far lies below every
+    later point.  A layered interval cuts into its single levels.
+    """
+    up = _strict_up(preorder)
+    summands, part, below_all, rest = [], 0, -1, mask
+    for i in sorted(_bits(mask), key=lambda i: -up[i].bit_count()):
+        part, below_all, rest = part | 1 << i, below_all & up[i], rest & ~(1 << i)
+        if not rest & ~below_all:
+            summands.append(part)
+            part = 0
+    return summands
+
+
+def _add(graded: dict, degree: int, rank: int, orders: list[int]) -> None:
+    """Add Z^rank and the cyclic groups of the given orders to one degree of (rank, cyclic orders) per degree."""
+    old_rank, old_orders = graded.get(degree, (0, []))
+    graded[degree] = (old_rank + rank, old_orders + [d for d in orders if d > 1])
+
+
+def _join(x: dict, y: dict) -> dict:
+    """Reduced homology of the join X * Y from that of X and of Y (Milnor).
+
+    Each side maps a degree to (rank, cyclic orders); the empty complex is
+    {-1: (1, [])}.  H~_{n+1}(X * Y) sums H~_i X (x) H~_j Y over i + j = n and
+    Tor(H~_i X, H~_j Y) over i + j = n - 1, with Z/a (x) Z/b = Tor(Z/a, Z/b) =
+    Z/gcd(a, b).
+    """
+    out: dict[int, tuple[int, list[int]]] = {}
+    for i, (a, s) in x.items():
+        for j, (b, t) in y.items():
+            tor = [gcd(u, v) for u in s for v in t]
+            _add(out, i + j + 1, a * b, s * b + t * a + tor)
+            _add(out, i + j + 2, 0, tor)
+    return out
+
+
+def _reduced_by_summands(preorder: Preorder, mask: int) -> dict:
+    """Reduced homology of the points of `mask` as (rank, cyclic orders) per degree: its summands listed and joined."""
+    joined = {-1: (1, [])}
+    for summand in _ordinal_summands(preorder, mask):
+        groups = all_groups(chain_complex(order_complex(preorder, preorder.unmask(summand))))
+        joined = _join(joined, {k: (g.rank - (k == 0), list(g.torsion)) for k, g in enumerate(groups)})
+    return joined
+
+
+def _presentations(graded: dict) -> dict[int, GroupPresentation]:
+    """The nonzero degrees, each group with its torsion as invariant factors, since Z/2 + Z/3 is Z/6."""
+    out = {}
+    for degree, (rank, orders) in sorted(graded.items()):
+        diagonal = from_columns(len(orders), len(orders), [[(j, d)] for j, d in enumerate(orders)])
+        torsion = tuple(d for d in sympy_invariant_factors(diagonal) if d > 1)
+        if rank or torsion:
+            out[degree] = GroupPresentation(rank, torsion)
+    return out
+
+
+def ordinal_sum_homology(preorder: Preorder, points: Iterable[str]) -> dict[int, GroupPresentation]:
+    """The nonzero reduced homology groups of the order complex of `points`, a poset, by ordinal summands.
+
+    K(Q1 + Q2) = K(Q1) * K(Q2), so only each summand is listed.
+    """
+    return _presentations(_reduced_by_summands(preorder, preorder.mask_of(points)))
+
+
+def inflation_relative_homology(preorder: Preorder, representatives: Iterable[str]) -> tuple[GroupPresentation, ...]:
+    """H_k(ambient, poset part) for k = 0 up to the last nonzero group, listing only summands of intervals.
+
+    The ambient order is the poset part P with each point x blown up to an
+    antichain of its m_x class members, so (Björner, Wachs & Welker, "Poset
+    fiber theorems", Trans. AMS 2005, section 6) H_k(ambient, P) sums, over
+    the chains F = x1 < ... < xj of P whose points all have m_x >= 2,
+    nu(F) = prod(m_x - 1) copies of H~_{k-j}(lk F).  lk F is the join of the
+    open intervals (-inf, x1), (x1, x2), ..., (xj, inf) of P; an empty one
+    has H~_{-1} = Z.
+    """
+    reps, up = preorder.mask_of(representatives), _strict_up(preorder)
+    down = [sum(1 << j for j in _bits(reps) if up[j] >> i & 1) for i in range(len(up))]
+    doubled = [i for i in _bits(reps) if preorder.same[i].bit_count() > 1]
+    total: dict[int, tuple[int, list[int]]] = {}
+    chains = [[i] for i in doubled]
+    while chains:
+        for chain in chains:
+            between = [up[x] & down[y] for x, y in zip(chain, chain[1:])]
+            intervals = [down[chain[0]], *between, reps & up[chain[-1]]]
+            link = {-1: (1, [])}
+            for interval in intervals:
+                link = _join(link, _reduced_by_summands(preorder, interval))
+            nu = prod(preorder.same[x].bit_count() - 1 for x in chain)
+            for degree, (rank, orders) in link.items():
+                _add(total, degree + len(chain), nu * rank, orders * nu)
+        chains = [chain + [y] for chain in chains for y in doubled if up[chain[-1]] >> y & 1]
+    groups = _presentations(total)
+    return tuple(groups.get(k, GroupPresentation()) for k in range(max(groups, default=-1) + 1))
 
 
 # The 6-vertex real projective plane, as its ten triangles.

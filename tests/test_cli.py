@@ -775,6 +775,26 @@ def test_table_report_golden_files(capsys, name, args):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("source", ["PSEUDO_S1_DUP", "rp2-cone-doubled"])
+def test_verify_theorem_reads_the_length_3_claim_at_every_length(capsys, tmp_path, source):
+    # The claim is stated for the length-3 splice of (poset, relative), so the
+    # claimed column stays whatever --length and its sign; the direct one moves.
+    space = ["--fixture", source] if source in FIXTURES else SPACE_SOURCES[source](tmp_path)
+    claimed, summaries = {}, {}
+    for length in ("1", "2", "3", "4", "-3"):
+        argv = ["spliced", *space, "--length", length, "--max-degree", "5", "--verify-theorem", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        theorem = json.loads(out)["theorem"]
+        claimed[length] = [row["claimed"] for row in theorem["rows"]]
+        summaries[length] = theorem["summary"]
+    assert all(column == claimed["3"] for column in claimed.values())
+    if source == "PSEUDO_S1_DUP":
+        assert [group["pretty"] for group in claimed["3"]] == ["Z", "0", "0", "0", "0", "0"]
+        assert summaries["1"] == {"match": 2, "mismatch": 4, "uncovered": 0}
+        assert summaries["3"] == {"match": 4, "mismatch": 2, "uncovered": 0}
+
+
 @pytest.mark.parametrize(
     "document",
     [

@@ -38,9 +38,11 @@ from oracles import (
     euler_characteristic,
     faces,
     from_columns,
+    inflation_relative_homology,
     is_subcomplex,
     layered_poset,
     naive_product,
+    ordinal_sum_homology,
     relation_pairs,
     rp2_face_poset,
     rp2_ordinal_sum,
@@ -214,6 +216,31 @@ def test_complex_sizes_equal_the_chain_counting_recurrence(pipelines):
         "ambient": 7**5 * 6**5 - 1,
         "relative": 70_225_056,
     }
+
+
+def test_relative_groups_equal_the_inflation_route(pipelines):
+    # The ambient order inflates the poset part, so its relative groups sum
+    # the reduced groups of links, each a join of ordinal summands of
+    # intervals; the poset part's own groups join its summands the same way.
+    zero = GroupPresentation()
+    spaces = [*FIXTURES.values(), *large_spaces((5, 2, 1), (4, 3, 3), (6, 4, 4))]
+    for data in [*pipelines, *map(build_pipeline, spaces)]:
+        representatives = data.decomposition.representatives
+        listed = list(all_groups(data.relative_chain))
+        while listed and listed[-1] == zero:
+            listed.pop()
+        assert inflation_relative_homology(data.preorder, representatives) == tuple(listed)
+        reduced = {k: g._replace(rank=g.rank - (k == 0)) for k, g in enumerate(all_groups(data.poset_chain))}
+        assert ordinal_sum_homology(data.preorder, representatives) == {k: g for k, g in reduced.items() if g != zero}
+    # 10x5x5 cannot be listed (70,225,056 relative faces).  Its poset part
+    # joins ten 5-point antichains, each with reduced H_0 = Z^4, and each
+    # chain F of the j twinned points of five levels has a link joining the
+    # other 10 - j levels: sum over j of C(5, j) 4^(10 - j) = 4^5 (5^5 - 4^5).
+    preorder = space_from_dict(layered_poset(10, 5, 5))
+    representatives = decompose(preorder).representatives
+    relative = (zero,) * 9 + (GroupPresentation(4**5 * (5**5 - 4**5)),)
+    assert inflation_relative_homology(preorder, representatives) == relative
+    assert ordinal_sum_homology(preorder, representatives) == {9: GroupPresentation(4**10)}
 
 
 def test_single_vertex_chain_complex():

@@ -16,23 +16,14 @@ from finsplice import (
     Preorder,
     build_pipeline,
     cochain,
-    compare,
     decompose,
     order_complex,
     specialisation_preorder,
     splice,
-    spliced_cohomology,
-    theorem_claimed_groups,
 )
 from finsplice.homology import SmithTable
 from finsplice.io import space_from_dict
 from oracles import relation_pairs
-
-
-def _report():
-    sources = build_pipeline(PSEUDO_S1_DUP).sources
-    direct = spliced_cohomology(splice(sources, 3), 5)
-    return compare(direct, theorem_claimed_groups(*sources, 5))
 
 
 FACTORIES = {
@@ -42,8 +33,6 @@ FACTORIES = {
     "GroupPresentation": (lambda: GroupPresentation(1, (2,)), "rank"),
     "SmithTable": (lambda: SmithTable.of(build_pipeline(PSEUDO_S1).poset_chain), "diagonals"),
     "PipelineData": (lambda: build_pipeline(PSEUDO_S1_DUP), "t0"),
-    "ComparisonRow": (lambda: _report().rows[1], "verdict"),
-    "ComparisonReport": (_report, "rows"),
     "Preorder": (lambda: Preorder(("a", "b"), (0b11, 0b10)), "up"),
     "ChainComplex": (lambda: build_pipeline(PSEUDO_S1).poset_chain, "maps"),
     "SplicedComplex": (lambda: splice(build_pipeline(PSEUDO_S1_DUP).sources, 3), "length"),
