@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success (a formula mismatch is a finding, not a failure),
-2 input errors (unreadable or invalid space files, and a `fixtures export`
-path that cannot be written), 3 usage errors (bad flags, unknown fixtures,
-not exactly one of `--fixture`, `--input` and `--random`, `--random` below
-1, zero `--length`, negative `--max-degree`), 4 internal errors (any other
-exception, reported as one line on stderr instead of a traceback).
+2 input and output errors (unreadable or invalid space files, a path that
+`fixtures export` cannot write, a closed standard output), 3 usage errors
+(bad flags, unknown fixtures, not exactly one of `--fixture`, `--input`
+and `--random`, `--random` below 1, zero `--length`, negative
+`--max-degree`), 4 internal errors (any other exception, reported as one
+line on stderr instead of a traceback).
 
 The argument parser is built once per process, on the first `main` call,
 and shared by every later call; each call parses into a fresh namespace,
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Iterable, Sequence
 
@@ -356,11 +358,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, parser)
+        code = _COMMANDS[args.command](args, parser)
+        sys.stdout.flush()  # a closed standard output fails here, not at exit
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except (SpaceFormatError, TopologyError, InvalidPreorder, OSError) as exc:
         print(f"finsplice: input error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):  # drop the unread bytes, so the exit flush cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return INPUT_ERROR
     except Exception as exc:
         message = " ".join(str(exc).splitlines())

@@ -18,11 +18,11 @@ complex, the dual Hom(C, Z), holds its chain's maps as they are (see
 
 `ChainComplex` and `SimplicialComplex` check nothing; outside input is
 checked in `io` and `spaces`.  The builders check only a library caller's
-arguments: `order_complex` raises `NotAPoset` on chosen points that are
-repeated or twins, and `cochain` rejects a complex of the wrong
-direction.  No builder multiplies its maps: boundaries of sorted faces
-closed under taking facets compose to zero, and so do their restrictions
-to the upward-closed relative faces.  `checked_complex` multiplies each
+arguments: `order_complex` raises `NotAPoset` on a relation that is not
+antisymmetric, and `cochain` rejects a complex of the wrong direction.
+No builder multiplies its maps: boundaries of sorted faces closed under
+taking facets compose to zero, and so do their restrictions to the
+upward-closed relative faces.  `checked_complex` multiplies each
 pair of consecutive maps and raises unless the product is zero;
 `SplicedComplex.assembled` and the tests build through it, and
 `test_compositions_are_zero` multiplies out the chain and relative maps.
@@ -61,20 +61,17 @@ class SimplicialComplex(NamedTuple):
         return tuple(len(faces) for faces in self.faces_by_dim)
 
 
-def order_complex(
-    preorder: Preorder,
-    points: Iterable[str] | None = None,
-    relation: str = "leq",
-) -> SimplicialComplex:
-    """Order complex of the relation restricted to the given points.
+def order_complex(preorder: Preorder, relation: str = "leq") -> SimplicialComplex:
+    """Order complex of the relation on all of the preorder's points.
 
     relation "leq" uses the preorder itself, "strict" its strictification.
-    The restriction must be antisymmetric; callers with an indistinguishable
-    pair must decompose first.  Chains are listed level by level: each
-    k-face, in sorted order, is extended by each strict successor of its
-    last point, in name order as read off that point's row.  So every chain
-    is listed once, ascending, and each level comes out sorted without a
-    sort.  The four-point circle has two minima below two maxima:
+    The relation must be antisymmetric, or `NotAPoset` names the first point
+    with a twin and that twin; callers with an indistinguishable pair must
+    decompose first.  Chains are listed level by level: each k-face, in
+    sorted order, is extended by each strict successor of its last point,
+    in name order as read off that point's row.  So every chain is listed
+    once, ascending, and each level comes out sorted without a sort.  The
+    four-point circle has two minima below two maxima:
 
     >>> from finsplice import PSEUDO_S1, specialisation_preorder
     >>> order_complex(specialisation_preorder(PSEUDO_S1)).faces_by_dim
@@ -83,23 +80,13 @@ def order_complex(
     if relation not in ("leq", "strict"):
         raise ValueError(f"unknown relation selector {relation!r}")
     rel = preorder if relation == "leq" else strictify(preorder)
-    pts = tuple(sorted(points)) if points is not None else preorder.points
-    chosen = preorder.mask_of(pts)
-    repeated = preorder.mask_of(x for x, y in zip(pts, pts[1:]) if x == y)
-    # The first pair of the sorted points related both ways starts at the
-    # least chosen point that is repeated or whose class row, the points
-    # with its up row, holds another chosen point.
     above = {}
-    for i, x in enumerate(preorder.points):
-        if not chosen >> i & 1:
-            continue
-        if repeated >> i & 1:
-            raise NotAPoset(x, x)
-        twins = rel.same[i] & chosen & ~(1 << i)
+    for i, x in enumerate(rel.points):
+        twins = rel.same[i] & ~(1 << i)
         if twins:
             raise NotAPoset(x, rel.unmask(twins)[0])
-        above[x] = rel.unmask(rel.up[i] & chosen & ~(1 << i))
-    faces_by_dim, faces = [], [(x,) for x in pts]
+        above[x] = rel.unmask(rel.up[i] & ~(1 << i))
+    faces_by_dim, faces = [], [(x,) for x in rel.points]
     while faces:
         faces_by_dim.append(tuple(faces))
         faces = [face + (y,) for face in faces for y in above[face[-1]]]

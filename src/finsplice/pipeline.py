@@ -1,30 +1,22 @@
 """The canonical pipeline from a space to the two spliced sources.
 
-`build_pipeline` takes a space as its specialisation preorder and builds,
-in order: the poset/complementary decomposition, and the two order
-complexes (poset part under <=, ambient under its strictification).  On the
-representatives the preorder is a poset, so it equals its strict order
-there, and the poset part's complex is the full subcomplex of the ambient
-one on the representatives.  The chain complexes of the poset part, of the
-ambient order and of the ambient order relative to the poset part, and
-the two cochain complexes that feed the splicer, are each built on first
-read; each map is stored as the coboundary the cochains read (see
-`complexes`).  The face counts give the complex sizes without building
-any of them.
+`build_pipeline` takes a space as its specialisation preorder and builds
+its poset/complementary decomposition.  The rest is built on first read:
+the ambient order complex, the one listing, under the strictification of
+the preorder; the poset part's complex, read off that listing as the full
+subcomplex on the representatives, where the preorder is a poset and so
+equals its strict order; the chain complexes of the poset part, of the
+ambient order and of the ambient order relative to the poset part; and the
+two cochain complexes that feed the splicer.  Each map is stored as the
+coboundary the cochains read (see `complexes`).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import zip_longest
+from itertools import takewhile, zip_longest
 
-from .complexes import (
-    ChainComplex,
-    chain_complex,
-    cochain,
-    order_complex,
-    relative_chain_complex,
-)
+from .complexes import ChainComplex, SimplicialComplex, chain_complex, cochain, order_complex, relative_chain_complex
 from .orders import decompose, strictify
 from .records import Record
 from .spaces import Preorder, specialisation_preorder
@@ -36,15 +28,23 @@ POSET_WARNING = (
 
 
 class PipelineData(Record):
-    """The built stages of one preorder; the chain and cochain complexes are built when first read.
+    """A preorder and its decomposition; every complex is built when first read.
 
     The builders are called through this module's globals, so a caller that
-    rebinds `chain_complex`, `relative_chain_complex` or `cochain` here sees
-    every complex the pipeline builds.
+    rebinds `order_complex`, `strictify`, `chain_complex`,
+    `relative_chain_complex` or `cochain` here sees every complex the
+    pipeline builds.  The poset part's complex is the ambient one less the
+    faces holding a complementary point, c' on the doubled circle:
+
+    >>> from finsplice import PSEUDO_S1_DUP
+    >>> data = build_pipeline(PSEUDO_S1_DUP)
+    >>> data.poset_complex.faces_by_dim == tuple(
+    ...     tuple(f for f in faces if "c'" not in f) for faces in data.ambient_complex.faces_by_dim)
+    True
     """
 
-    __slots__ = ("preorder", "decomposition", "poset_complex", "ambient_complex", "__dict__")
-    _fields = ("preorder", "decomposition", "poset_complex", "ambient_complex")
+    __slots__ = ("preorder", "decomposition", "__dict__")
+    _fields = ("preorder", "decomposition")
 
     @property
     def t0(self) -> bool:
@@ -62,6 +62,17 @@ class PipelineData(Record):
         while relative and not relative[-1]:
             relative.pop()
         return {"poset": list(poset), "ambient": list(ambient), "relative": relative}
+
+    @cached_property
+    def ambient_complex(self) -> SimplicialComplex:
+        return order_complex(strictify(self.preorder), relation="leq")
+
+    @cached_property
+    def poset_complex(self) -> SimplicialComplex:
+        """The ambient faces inside the representatives, in ambient order, trailing empty degrees dropped."""
+        inside = frozenset(self.decomposition.representatives).issuperset
+        kept = (tuple(filter(inside, faces)) for faces in self.ambient_complex.faces_by_dim)
+        return SimplicialComplex(tuple(takewhile(bool, kept)))  # closed downward: no face after an empty degree
 
     @cached_property
     def poset_chain(self) -> ChainComplex:
@@ -90,10 +101,4 @@ class PipelineData(Record):
 
 def build_pipeline(space: Preorder, policy: str = "least") -> PipelineData:
     preorder = specialisation_preorder(space)
-    decomposition = decompose(preorder, policy)
-    return PipelineData(
-        preorder,
-        decomposition,
-        order_complex(preorder, decomposition.representatives, relation="leq"),
-        order_complex(strictify(preorder), relation="leq"),
-    )
+    return PipelineData(preorder, decompose(preorder, policy))

@@ -1,18 +1,19 @@
 """Oracles the tests share that the program itself does not call.
 
 Each computes from first principles something the program derives on its
-own route (the relation as pairs, closures, the poset part's complex
-under the strict order, subcomplex inclusion, Euler
-characteristics, face labels and the `finsplice-complex/1` form, summed
-sparse columns, transposes, dense products, whole-matrix Smith forms with
-their transforms, groups from sympy's invariant factors, complex sizes
-from a chain-counting recurrence, relative groups by the inflation route
-and a poset's groups by its ordinal summands, the block layout and the
-large-length limits of a splice), so the tests can set the two against
-each other.  `all_match` reads `compare`'s verdicts for the tests that
-expect every degree to match; `rp2_face_poset` and `rp2_ordinal_sum` write
-the projective-plane space files whose groups carry torsion, and
-`layered_poset` the layered spaces of the benchmark's ladder.
+own route (the relation as pairs, closures, a preorder restricted to some
+of its points, the poset part's complex listed on its own under the strict
+order, subcomplex inclusion, Euler characteristics, face labels and the
+`finsplice-complex/1` form, summed sparse columns, transposes, dense
+products, whole-matrix Smith forms with their transforms, groups from
+sympy's invariant factors, complex sizes from a chain-counting recurrence,
+relative groups by the inflation route and a poset's groups by its ordinal
+summands, the block layout and the large-length limits of a splice), so
+the tests can set the two against each other.  `all_match` reads
+`compare`'s verdicts for the tests that expect every degree to match;
+`rp2_face_poset` and `rp2_ordinal_sum` write the projective-plane space
+files whose groups carry torsion, and `layered_poset` the layered spaces
+of the benchmark's ladder.
 """
 
 from __future__ import annotations
@@ -81,13 +82,25 @@ def is_subcomplex(candidate: SimplicialComplex, ambient: SimplicialComplex) -> b
     return True
 
 
-def strict_poset_complex(data: PipelineData) -> SimplicialComplex:
-    """The poset part's order complex under the strict order, built from the pipeline's preorder.
+def restricted(preorder: Preorder, points: Iterable[str]) -> Preorder:
+    """The preorder on the given points alone, each row remapped to their positions.
 
-    On the representatives the preorder is antisymmetric, so this must equal
-    `data.poset_complex` and be a subcomplex of `data.ambient_complex`.
+    Repeated, unknown or no points raise, as `Preorder` or `index` do.
     """
-    return order_complex(strictify(data.preorder), data.decomposition.representatives)
+    pts = tuple(sorted(points))
+    where = [preorder.points.index(p) for p in pts]
+    rows = (sum(1 << j for j, k in enumerate(where) if preorder.up[i] >> k & 1) for i in where)
+    return Preorder(pts, rows)
+
+
+def strict_poset_complex(data: PipelineData) -> SimplicialComplex:
+    """The poset part's order complex, listed on its own from the strict order restricted to the representatives.
+
+    The pipeline reads it off the ambient complex instead; on the
+    representatives the preorder is antisymmetric, so the two must be equal,
+    and this must be a subcomplex of `data.ambient_complex`.
+    """
+    return order_complex(restricted(strictify(data.preorder), data.decomposition.representatives))
 
 
 def face_label(face: tuple[str, ...]) -> str:
@@ -306,7 +319,7 @@ def _reduced_by_summands(preorder: Preorder, mask: int) -> dict:
     """Reduced homology of the points of `mask` as (rank, cyclic orders) per degree: its summands listed and joined."""
     joined = {-1: (1, [])}
     for summand in _ordinal_summands(preorder, mask):
-        groups = all_groups(chain_complex(order_complex(preorder, preorder.unmask(summand))))
+        groups = all_groups(chain_complex(order_complex(restricted(preorder, preorder.unmask(summand)))))
         joined = _join(joined, {k: (g.rank - (k == 0), list(g.torsion)) for k, g in enumerate(groups)})
     return joined
 

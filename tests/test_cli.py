@@ -17,7 +17,7 @@ from finsplice import POSET_WARNING, build_pipeline, cli, from_preorder, pipelin
 from finsplice import FIXTURES, IntMatrix, smith_normal_form
 from finsplice.cli import main
 from finsplice.io import space_from_dict, space_to_dict
-from oracles import dense_diagonals, rp2_face_poset
+from oracles import dense_diagonals, layered_poset, rp2_face_poset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -117,6 +117,39 @@ def test_each_command_builds_only_the_chain_complexes_it_reads(capsys, monkeypat
     code, _, _ = run(capsys, *command, "--fixture", "PSEUDO_S1_DUP", "--format", "json")
     assert code == 0
     assert calls == expected
+
+
+LISTING_SPACES = {"PSEUDO_S1_DUP": FIXTURES["PSEUDO_S1_DUP"], "layered": space_from_dict(layered_poset(4, 3, 1))}
+LISTING_COMMANDS = [
+    ("decompose",),
+    *(
+        ("homology", "--complex", which, "--theory", theory)
+        for which in ("poset", "ambient", "relative")
+        for theory in ("homology", "cohomology")
+    ),
+    ("spliced", "--length", "3", "--verify-theorem"),
+]
+
+
+@pytest.mark.parametrize("command", LISTING_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("name", sorted(LISTING_SPACES))
+def test_each_command_lists_one_order_complex(capsys, monkeypatch, tmp_path, name, command):
+    # The poset part's complex is read off the ambient listing, and neither
+    # is listed before a command reads it.
+    calls = []
+
+    def counting(*args, wrapped=pipeline.order_complex, **kwargs):
+        calls.append(args)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "order_complex", counting)
+    space = LISTING_SPACES[name]
+    build_pipeline(space)
+    assert calls == []
+    path = _write(tmp_path / "space.json", space_to_dict(space))
+    code, _, _ = run(capsys, *command, "--input", path, "--format", "json")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_spliced_poset_input(capsys):
@@ -875,6 +908,33 @@ def test_lone_surrogate_point_is_an_input_error_in_a_real_process(tmp_path, fmt)
     assert result.returncode == 2
     assert result.stdout == b""
     assert result.stderr == b"finsplice: input error: string '\\ud800' cannot be encoded as UTF-8\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "command", [["spliced", "--verify-theorem", "--format", "json"], ["decompose"]], ids=["spliced", "decompose"]
+)
+def test_closed_standard_output_is_an_input_error_in_a_real_process(command, unbuffered):
+    # The read end of the pipe is closed before the process starts, so the
+    # report's first write or the flush after the command fails, however
+    # standard output is buffered.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "finsplice", *command, "--fixture", "PSEUDO_S1_DUP"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == b"finsplice: input error: [Errno 32] Broken pipe\n"
 
 
 POINT_NAMES = ("a", "b", "c", "d")

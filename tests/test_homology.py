@@ -32,6 +32,7 @@ from oracles import (
     dense_group,
     from_columns,
     identity,
+    restricted,
     rp2_face_poset,
     smith_transforms,
     sympy_invariant_factors,
@@ -476,7 +477,7 @@ def test_relative_cochain_groups():
 
 def test_single_vertex_groups():
     data = build_pipeline(PSEUDO_S1)
-    single = order_complex(data.preorder, points=("a",))
+    single = order_complex(restricted(data.preorder, ("a",)))
     assert all_groups(chain_complex(single)) == (GroupPresentation(1),)
 
 
