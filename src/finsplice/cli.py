@@ -111,6 +111,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
+    def _print_message(self, message, file=None):
+        """argparse's, but help that standard output cannot take raises, as a report's write does."""
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
 
 def _input_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("input")
@@ -357,12 +364,13 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        code = _COMMANDS[args.command](args, parser)
+        try:
+            args = parser.parse_args(argv)
+            code = _COMMANDS[args.command](args, parser)
+        except SystemExit as exc:  # help, and every usage error
+            code = exc.code if isinstance(exc.code, int) else USAGE_ERROR
         sys.stdout.flush()  # a closed standard output fails here, not at exit
         return code
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except (SpaceFormatError, TopologyError, InvalidPreorder, OSError) as exc:
         print(f"finsplice: input error: {exc}", file=sys.stderr)
         if isinstance(exc, BrokenPipeError):  # drop the unread bytes, so the exit flush cannot fail again

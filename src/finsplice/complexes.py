@@ -10,11 +10,14 @@ coboundary from degree i to degree i+1, one column per face of degree i
 listing the faces of degree i+1 that hold it, with their signs.  The
 complex relative to a set of points has the faces that hold a point
 outside it; the faces on those points alone span a full subcomplex.  Both
-builders go through one loop, `_coboundaries`, that writes each column
-already canonical (sorted rows, no zeros), so no matrix is re-summed.  A
-homological complex reads its maps transposed, as boundaries; the cochain
-complex, the dual Hom(C, Z), holds its chain's maps as they are (see
-`cochain`).
+builders go through `_coboundaries`, which builds no map: its maps are a
+`Coboundaries` of the faces, which builds each degree's map on first read,
+each column already canonical (sorted rows, no zeros), so no matrix is
+re-summed.  `SmithTable.of` reads the lows of every map above degree 0
+from the faces, with `Coboundaries.lowest_cofaces`, and builds a map only
+where they collide.  A homological complex reads its maps transposed, as
+boundaries; the cochain complex, the dual Hom(C, Z), holds its chain's
+maps as they are (see `cochain`).
 
 `ChainComplex` and `SimplicialComplex` check nothing; outside input is
 checked in `io` and `spaces`.  The builders check only a library caller's
@@ -30,9 +33,10 @@ pair of consecutive maps and raises unless the product is zero;
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from itertools import chain, combinations, count, repeat
+from typing import TYPE_CHECKING, NamedTuple
 
 from .matrices import IntMatrix
 from .orders import strictify
@@ -106,10 +110,12 @@ class ChainComplex(Record):
     degree k, reads the direction.  basis[k] lists the degree-k basis
     elements, faces for the complexes made here.  Built by `_coboundaries`
     or `checked_complex`, its maps compose to zero and its top degree is
-    nonempty.  `smith` assumes both the coboundary layout and maps that
-    compose to zero: `SmithTable.of` reduces the maps bottom-up as they
-    are stored, and deletes the columns of the coboundary out of degree k
-    that the +-1 lows of the one out of degree k-1 make coboundaries.
+    nonempty.  `maps` is a sequence of `IntMatrix`: a tuple when given,
+    a `Coboundaries` that builds each map on first read when built from
+    faces.  `smith` assumes both the coboundary layout and maps that
+    compose to zero: `SmithTable.of` reduces the maps bottom-up, and
+    deletes the columns of the coboundary out of degree k that the +-1
+    lows of the one out of degree k-1 make coboundaries.
     """
 
     __slots__ = ("direction", "basis", "maps", "__dict__")
@@ -135,7 +141,8 @@ class ChainComplex(Record):
         """Dimensions and Smith diagonals of the differentials, built on first use.
 
         Chain and cochain complexes alike go through `SmithTable.of`, which
-        reduces the stored maps from degree 0 up.
+        reduces the maps from degree 0 up, reading the lows of a
+        `Coboundaries` above degree 0 from the faces.
         """
         from .homology import SmithTable  # homology imports this module
 
@@ -192,29 +199,94 @@ def _coboundaries(basis: Sequence[tuple[tuple[str, ...], ...]]) -> ChainComplex:
 
     `chain_complex` and `relative_chain_complex` build through here.  Trailing
     empty degrees, which only a relative basis has, are dropped: a T0
-    space's relative basis gives the zero complex.  The boundary of a face
-    is the alternating sum over deleted vertices:
-    `combinations(face, k)` lists the facets from the last vertex deleted to
-    the first, so their signs run (-1)^k down to (-1)^0.  Each k-face
-    appends itself, with that sign, to the coboundary column of each of its
-    facets in the basis, sharing its two (row, +-1) pairs; a facet outside
-    the basis lands in a spare last column that is dropped.  The faces come
-    in sorted order and meet each facet once, so every column comes out
-    sorted with no entry summed.  The maps compose to zero (see the module
-    docstring), so nothing here multiplies them.
+    space's relative basis gives the zero complex.  No map is built here:
+    the maps are a `Coboundaries` of the basis, which builds each degree's
+    map on first read, and `SmithTable.of` reads the lows of every map
+    above degree 0 from the faces, building a map only where they collide.
+    The maps compose to zero (see the module docstring), so nothing here
+    multiplies them.
     """
     basis = _through_top(basis)
-    maps = []
-    for k in range(1, len(basis)):
-        rows = {face: i for i, face in enumerate(basis[k - 1])}
-        odd = [i % 2 for i in range(k, -1, -1)]
-        columns: list[list[tuple[int, int]]] = [[] for _ in range(len(rows) + 1)]
-        for j, face in enumerate(basis[k]):
-            entries = ((j, 1), (j, -1))
-            for facet, sign in zip(combinations(face, k), odd):
-                columns[rows.get(facet, -1)].append(entries[sign])
-        maps.append(IntMatrix(len(basis[k]), len(rows), tuple(map(tuple, columns[:-1]))))
-    return ChainComplex(HOMOLOGICAL, basis, tuple(maps))
+    return ChainComplex(HOMOLOGICAL, basis, Coboundaries(basis))
+
+
+class Coboundaries(Sequence):
+    """The coboundaries of a basis of faces, maps[k] from degree k to k+1, each built on first read.
+
+    A read-only sequence of `IntMatrix`: indexing builds that one degree's
+    map and keeps it, and it compares, hashes and prints as the tuple of
+    its maps.  It pickles as its basis, which fixes every map.
+
+    The boundary of a face is the alternating sum over deleted vertices:
+    `combinations(face, k + 1)` lists the facets of a (k+1)-face from the
+    last vertex deleted to the first, so their signs run (-1)^(k+1) down to
+    (-1)^0.  `facet_rows(k)` is one C-level pass over those facets, face by
+    face, giving each one's row in basis[k], or -1 outside it.  `build`
+    appends each (k+1)-face, with its sign, to the column of each of its
+    facets, sharing its two (row, +-1) pairs; the faces come in sorted
+    order and meet each facet once, so every column comes out sorted with
+    no entry summed.  The last pair of a column is its lowest coface, so
+    `lowest_cofaces` reads every column's low off the same pass without
+    building the map.
+    """
+
+    __slots__ = ("basis", "_built")
+
+    def __init__(self, basis: tuple[tuple[tuple[str, ...], ...], ...]):
+        self.basis = basis
+        self._built: list[IntMatrix | None] = [None] * max(len(basis) - 1, 0)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, k):
+        degrees = range(len(self._built))[k]  # raises IndexError, as a tuple would
+        if isinstance(degrees, range):
+            return tuple(map(self.__getitem__, degrees))
+        return self._built[degrees] or self.build(degrees, self.facet_rows(degrees))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, Coboundaries)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return Coboundaries, (self.basis,)
+
+    def facet_rows(self, k: int) -> list[int]:
+        """The row in basis[k] of each facet of each (k+1)-face, face by face; -1 for a facet outside it."""
+        rows = dict(zip(self.basis[k], count()))
+        return list(map(rows.get, chain.from_iterable(map(combinations, self.basis[k + 1], repeat(k + 1))), repeat(-1)))
+
+    def lowest_cofaces(self, k: int, facet_rows: list[int]) -> dict[int, int]:
+        """The lowest coface of each k-face that has one: its column of maps[k] and that column's last row.
+
+        Each facet row is paired with its face's index, and the last write
+        wins, so each k-face keeps its highest coface, the lowest entry.
+        """
+        cofaces = chain.from_iterable(map(repeat, range(len(self.basis[k + 1])), repeat(k + 2)))
+        lows = dict(zip(facet_rows, cofaces))
+        lows.pop(-1, None)
+        return lows
+
+    def build(self, k: int, facet_rows: list[int]) -> IntMatrix:
+        """maps[k] from `facet_rows(k)`, built once and kept."""
+        if self._built[k] is None:
+            odd = [i % 2 for i in range(k + 1, -1, -1)]
+            columns: list[list[tuple[int, int]]] = [[] for _ in range(len(self.basis[k]) + 1)]
+            for j, rows in enumerate(zip(*[iter(facet_rows)] * (k + 2))):
+                entries = ((j, 1), (j, -1))
+                for row, sign in zip(rows, odd):
+                    columns[row].append(entries[sign])
+            columns.pop()  # the spare column of the facets outside the basis
+            self._built[k] = IntMatrix(len(self.basis[k + 1]), len(columns), tuple(map(tuple, columns)))
+        return self._built[k]
 
 
 def cochain(chain: ChainComplex) -> ChainComplex:
@@ -222,9 +294,11 @@ def cochain(chain: ChainComplex) -> ChainComplex:
 
     The chain complex stores each map as the coboundary, maps[k] from
     degree k to k+1, and reads it transposed; the dual reads it as it is.
-    So the dual's table is the chain's: `SmithTable.of` reduces the same
-    stored maps for either, and the dual's maps compose to zero as the
-    chain's do.  The four-point circle has H^1 = Z:
+    The two share the one maps object, so a map built on first read by
+    either is built once.  The dual's table is the chain's: `SmithTable.of`
+    takes the same route over the same maps for either, and the dual's
+    maps compose to zero as the chain's do.  The four-point circle has
+    H^1 = Z:
 
     >>> from finsplice import PSEUDO_S1, build_pipeline
     >>> circle = build_pipeline(PSEUDO_S1).poset_chain

@@ -31,13 +31,18 @@ coboundary out of degree k a combination of earlier columns, so that
 column is deleted before the reduction and the Smith diagonal does not
 change.  No top-degree face is ever a column, where a top-down pass over
 the boundaries reduces every top-degree cycle to zero column by column.
+Above degree 0, the maps of a complex built from faces are read by their
+lowest cofaces first, Ripser's emergent pairs: when the kept columns' lows
+are distinct, the map's diagonal and lows are read off the faces and the
+map is never built, so `smith_normal_form` runs only for degree 0 and
+where lows collide (torsion, say).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .complexes import HOMOLOGICAL, ChainComplex
+from .complexes import HOMOLOGICAL, ChainComplex, Coboundaries
 from .matrices import IntMatrix
 
 
@@ -247,9 +252,26 @@ class SmithTable(NamedTuple):
         of all of delta_(k-1)'s +-1 lows has the same Smith diagonal as
         delta_k, and the reduction and the dense elimination run on that
         narrower matrix, whose columns are the stored ones themselves.
-        Each map, the top one included, goes through `smith_normal_form`
-        once, and its lows are the columns cleared from the map above.
-        Both directions take this one route.
+        The lows of a map's reduction are the columns cleared from the map
+        above.  Both directions take this one route.
+
+        Maps built from faces, a `Coboundaries`, are read by their lowest
+        cofaces above degree 0: one pass over the facets of the
+        (k+1)-faces gives each k-face's highest coface, the last row of
+        its column, without building delta_k.  Every entry of delta_k is
+        +-1.  If the kept nonzero columns have pairwise distinct lows,
+        they are in echelon form with +-1 pivots, so `smith_normal_form`
+        would keep each as it is stored, reduce nothing and set nothing
+        aside: its diagonal is one 1 per kept nonzero column and its lows
+        are those last rows.  The table takes both from the pass and never
+        builds the map.  Where lows collide, the map is built from the
+        same pass and its kept columns reduced as above.  Degree 0 is
+        always reduced from its map: nothing is cleared there, and the
+        vertex columns of an order complex with an edge collide, its
+        highest edge being the lowest coface of both its ends (a relative
+        complex's need not, and are reduced all the same).
+        Complexes given their maps as a tuple (hand-built ones,
+        `SplicedComplex.assembled`) reduce every map.
 
         The Z/2 projective plane (two vertices, three edges, two faces), its
         coboundaries from vertices to edges and from edges to faces.  The
@@ -265,9 +287,21 @@ class SmithTable(NamedTuple):
         >>> str(SmithTable.of(rp2).group(1)), str(SmithTable.of(cochain(rp2)).group(2))
         ('Z/2', 'Z/2')
         """
-        diagonals = []
+        maps, diagonals = complex_.maps, []
         cleared: set[int] = set()
-        for m in complex_.maps:
+        for k in range(len(maps)):
+            if k and isinstance(maps, Coboundaries):
+                facet_rows = maps.facet_rows(k)
+                lows = maps.lowest_cofaces(k, facet_rows)
+                columns = lows.keys() - cleared  # the kept nonzero columns
+                pivots = set(map(lows.__getitem__, columns))
+                if len(pivots) == len(columns):
+                    diagonals.append((1,) * len(columns))
+                    cleared = pivots
+                    continue
+                m = maps.build(k, facet_rows)
+            else:
+                m = maps[k]
             kept = tuple([column for i, column in enumerate(m.columns) if i not in cleared])
             diagonal, cleared = smith_normal_form(IntMatrix(m.rows, len(kept), kept))
             diagonals.append(diagonal)

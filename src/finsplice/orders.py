@@ -31,10 +31,11 @@ def strictify(preorder: Preorder) -> Preorder:
     """The partial order with x < y when x <= y holds one-way, plus equality.
 
     Row i keeps the points above points[i] outside its class, and its own
-    bit.
+    bit.  These rows are a partial order whenever the preorder's are, so
+    they are not checked again.
     """
-    rows = (u & ~s | 1 << i for i, (u, s) in enumerate(zip(preorder.up, preorder.same)))
-    return Preorder(preorder.points, rows)
+    rows = tuple(u & ~s | 1 << i for i, (u, s) in enumerate(zip(preorder.up, preorder.same)))
+    return Preorder._from_valid_rows(preorder.points, rows)
 
 
 def equivalence_classes(preorder: Preorder) -> tuple[tuple[str, ...], ...]:

@@ -7,8 +7,10 @@ the preorder; the poset part's complex, read off that listing as the full
 subcomplex on the representatives, where the preorder is a poset and so
 equals its strict order; the chain complexes of the poset part, of the
 ambient order and of the ambient order relative to the poset part; and the
-two cochain complexes that feed the splicer.  Each map is stored as the
-coboundary the cochains read (see `complexes`).
+two cochain complexes that feed the splicer.  Each map is the coboundary
+the cochains read, built per degree on first read (see `complexes`); the
+Smith tables read the lows of the maps above degree 0 off the faces, so a
+`spliced` run builds only the maps whose lows collide, and degree 0's.
 """
 
 from __future__ import annotations

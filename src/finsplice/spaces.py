@@ -136,7 +136,8 @@ class Preorder(Record):
     indistinguishability class) share one transitivity check and one pass
     over the row's bits, and that grouping gives same[i], the class of
     points[i]: the points whose up row equals up[i], those related to it
-    both ways.
+    both ways.  `strictify` and `preorder_from_relation`, whose rows are
+    valid by construction, skip the checks through `_from_valid_rows`.
 
     The Sierpinski space, with opens {}, {b} and {a, b}, has a <= b:
 
@@ -174,9 +175,27 @@ class Preorder(Record):
                     x, y, z = pts[_lowest(who)], pts[j], pts[_lowest(missing)]
                     raise InvalidPreorder(f"not transitive: {x} <= {y} <= {z} but not {x} <= {z}")
                 rest ^= low
-        object.__setattr__(self, "points", pts)
+        self._set_rows(pts, up, members)
+
+    @classmethod
+    def _from_valid_rows(cls, points: tuple[str, ...], up: tuple[int, ...]) -> Preorder:
+        """The preorder of rows that are valid by construction: only `same` is derived, nothing checked.
+
+        `orders.strictify` (a strict order plus its diagonal) and
+        `preorder_from_relation` (a Warshall closure) build through here.
+        """
+        self = object.__new__(cls)
+        members: dict[int, int] = {}
+        for i, row in enumerate(up):
+            members[row] = members.get(row, 0) | 1 << i
+        self._set_rows(points, up, members)
+        return self
+
+    def _set_rows(self, points: tuple[str, ...], up: tuple[int, ...], members: dict[int, int]) -> None:
+        """Set the fields, and same[i] from `members`, the points of each distinct row."""
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "up", up)
-        object.__setattr__(self, "same", tuple(members[row] for row in up))
+        object.__setattr__(self, "same", tuple(map(members.__getitem__, up)))
 
     def mask_of(self, subset: Iterable[str]) -> int:
         return _mask(subset, {p: i for i, p in enumerate(self.points)})
@@ -282,7 +301,9 @@ def preorder_from_relation(points: Iterable[str], pairs: Iterable[tuple[str, str
 
     Warshall's algorithm on bitmask rows: after step k, row x holds every y
     reachable from x through intermediate points among the first k.  The
-    rows are the preorder's up-set rows.
+    rows are the preorder's up-set rows, reflexive and transitive by
+    construction, so they are not checked again; an unknown name in a pair,
+    then an empty or repeated point, raise as `Preorder` would.
     """
     pts = tuple(sorted(points))
     index = {p: i for i, p in enumerate(pts)}
@@ -295,4 +316,4 @@ def preorder_from_relation(points: Iterable[str], pairs: Iterable[tuple[str, str
         for i, row in enumerate(reach):
             if row & bit:
                 reach[i] = row | row_k
-    return Preorder(pts, reach)
+    return Preorder._from_valid_rows(_sorted_points(pts), tuple(reach))

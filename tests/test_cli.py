@@ -16,6 +16,7 @@ import finsplice
 from finsplice import POSET_WARNING, build_pipeline, cli, from_preorder, pipeline, preorder_from_relation, random_space
 from finsplice import FIXTURES, IntMatrix, smith_normal_form
 from finsplice.cli import main
+from finsplice.complexes import Coboundaries
 from finsplice.io import space_from_dict, space_to_dict
 from oracles import dense_diagonals, layered_poset, rp2_face_poset
 
@@ -150,6 +151,32 @@ def test_each_command_lists_one_order_complex(capsys, monkeypatch, tmp_path, nam
     code, _, _ = run(capsys, *command, "--input", path, "--format", "json")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_a_spliced_run_builds_no_map_above_degree_0_whose_lows_are_distinct(capsys, monkeypatch, tmp_path):
+    # Above degree 0 the Smith tables read each map's lows off the faces and
+    # build the map only where they collide.  On this layered space with
+    # three twins none collide, so only the two vertex maps are built.
+    built = []
+
+    def recording(maps, k, facet_rows, wrapped=Coboundaries.build):
+        built.append(k)
+        return wrapped(maps, k, facet_rows)
+
+    monkeypatch.setattr(Coboundaries, "build", recording)
+    document = layered_poset(4, 3, 3)
+    code, _, _ = run(capsys, "spliced", "--verify-theorem", "--input", _write(tmp_path / "space.json", document))
+    assert code == 0
+    assert built == [0, 0]  # the poset part's, then the relative complex's
+    monkeypatch.undo()
+    data = build_pipeline(space_from_dict(document))
+    for chain in (data.poset_chain, data.relative_chain):
+        cleared: set[int] = set()
+        for k, m in enumerate(chain.maps):
+            kept = tuple(column for i, column in enumerate(m.columns) if i not in cleared)
+            lows = [column[-1][0] for column in kept if column]
+            assert k == 0 or len(set(lows)) == len(lows), k
+            cleared = smith_normal_form(IntMatrix(m.rows, len(kept), kept)).lows
 
 
 def test_spliced_poset_input(capsys):
@@ -912,12 +939,19 @@ def test_lone_surrogate_point_is_an_input_error_in_a_real_process(tmp_path, fmt)
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize(
-    "command", [["spliced", "--verify-theorem", "--format", "json"], ["decompose"]], ids=["spliced", "decompose"]
+    "command",
+    [
+        ["spliced", "--verify-theorem", "--format", "json", "--fixture", "PSEUDO_S1_DUP"],
+        ["decompose", "--fixture", "PSEUDO_S1_DUP"],
+        ["--help"],
+        ["spliced", "--help"],
+    ],
+    ids=["spliced", "decompose", "help", "spliced-help"],
 )
 def test_closed_standard_output_is_an_input_error_in_a_real_process(command, unbuffered):
     # The read end of the pipe is closed before the process starts, so the
-    # report's first write or the flush after the command fails, however
-    # standard output is buffered.
+    # report's or the help's first write, or the flush after the command,
+    # fails, however standard output is buffered.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
@@ -926,7 +960,7 @@ def test_closed_standard_output_is_an_input_error_in_a_real_process(command, unb
     os.close(read_end)
     try:
         result = subprocess.run(
-            [sys.executable, "-m", "finsplice", *command, "--fixture", "PSEUDO_S1_DUP"],
+            [sys.executable, "-m", "finsplice", *command],
             stdout=write_end,
             stderr=subprocess.PIPE,
             env=env,

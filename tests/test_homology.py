@@ -32,8 +32,10 @@ from oracles import (
     dense_group,
     from_columns,
     identity,
+    layered_poset,
     restricted,
     rp2_face_poset,
+    rp2_ordinal_sum,
     smith_transforms,
     sympy_invariant_factors,
     transpose,
@@ -335,42 +337,67 @@ def _recording_smith(monkeypatch):
     return received
 
 
+def _expected_calls(cc):
+    """The `smith_normal_form` calls of the lows route on cc: (degree, kept columns, cleared, lows) each.
+
+    Replays the stored route: above degree 0, the kept columns of maps[k]
+    are its stored columns less the +-1 lows of the reduction of maps[k-1].
+    A call is expected at degree 0 and where the kept nonzero columns'
+    last rows collide, and nowhere else.
+    """
+    calls, cleared = [], set()
+    for k, m in enumerate(cc.maps):
+        kept = [column for i, column in enumerate(m.columns) if i not in cleared]
+        lows = [column[-1][0] for column in kept if column]
+        result = smith_normal_form(from_columns(m.rows, len(kept), kept))
+        if k == 0 or len(set(lows)) < len(lows):
+            calls.append((k, kept, cleared, result.lows))
+        cleared = result.lows
+    return calls
+
+
+def _torsion_and_layered_pipelines():
+    spaces = [_layered_with_twin(), PSEUDO_S1_DUP, space_from_dict(rp2_face_poset("cone-doubled"))]
+    return [build_pipeline(space) for space in spaces]
+
+
 def test_smith_table_reduces_each_coboundary_without_the_pivot_rows_of_the_one_below(monkeypatch):
-    # Pins clearing without timing it: above degree 0, the coboundary
-    # delta_k = maps[k] reaches the low reduction with exactly dim(k) minus
-    # the +-1 lows of delta_(k-1) as columns.
+    # Pins clearing without timing it: above degree 0, a coboundary
+    # delta_k = maps[k] whose lows collide reaches the low reduction with
+    # exactly dim(k) minus the +-1 lows of delta_(k-1) as columns.
     received = _recording_smith(monkeypatch)
-    data = build_pipeline(_layered_with_twin())
-    cleared_columns = 0
-    for cc in (data.poset_chain, data.ambient_chain, data.relative_chain):
-        received.clear()
-        assert SmithTable.of(cc).diagonals == dense_diagonals(cc)
-        lows: set[int] = set()
-        for k, m in enumerate(cc.maps):
-            kept = [column for i, column in enumerate(m.columns) if i not in lows]
-            expected = from_columns(cc.dim(k + 1), len(kept), kept)
-            assert expected.cols == cc.dim(k) - len(lows)
-            assert received[k][0] == expected, k
-            cleared_columns += len(lows)
-            lows = received[k][1]
-    assert cleared_columns > 0
+    cleared_columns = collisions = 0
+    for data in _torsion_and_layered_pipelines():
+        for cc in (data.poset_chain, data.ambient_chain, data.relative_chain):
+            received.clear()
+            assert SmithTable.of(cc).diagonals == dense_diagonals(cc)
+            expected = _expected_calls(cc)
+            assert len(received) == len(expected)
+            for (matrix, lows), (k, kept, cleared, next_lows) in zip(received, expected):
+                assert matrix == from_columns(cc.dim(k + 1), len(kept), kept), k
+                assert matrix.cols == cc.dim(k) - len(cleared)
+                assert lows == next_lows
+                cleared_columns += len(cleared)
+                collisions += k > 0
+    assert cleared_columns > 0 and collisions > 0
 
 
-def test_smith_table_calls_smith_normal_form_once_per_map(monkeypatch):
+def test_smith_table_calls_smith_normal_form_at_degree_0_and_where_lows_collide(monkeypatch):
     # perfbench's tracer times `homology.smith_normal_form` as the Smith
-    # reduction, so all of it has to run inside that one call per map.
+    # reduction: it runs for degree 0, whose vertex columns always collide,
+    # and for each map whose kept lows collide, and for no other map.
     received = _recording_smith(monkeypatch)
-    for space in (_layered_with_twin(), PSEUDO_S1_DUP):
-        data = build_pipeline(space)
+    calls = maps = 0
+    for data in _torsion_and_layered_pipelines():
         chains = (data.poset_chain, data.ambient_chain, data.relative_chain)
         for cc in chains + (data.poset_cochain, cochain(data.ambient_chain), data.relative_cochain):
             received.clear()
             assert SmithTable.of(cc).diagonals == dense_diagonals(cc)
-            assert len(received) == len(cc.maps)
-            # The stored maps in ascending degree, each short of the columns the one before cleared.
-            cleared = [0] + [len(lows) for _, lows in received[:-1]]
-            shapes = [(m.rows, m.cols + c) for (m, _), c in zip(received, cleared)]
-            assert shapes == [(full.rows, full.cols) for full in cc.maps]
+            expected = _expected_calls(cc)
+            assert [(m.rows, m.cols) for m, _ in received] == [(cc.dim(k + 1), len(kept)) for k, kept, _, _ in expected]
+            calls += len(received)
+            maps += len(cc.maps)
+    assert calls < maps
 
 
 def test_smith_table_hands_the_stored_columns_to_the_reduction(monkeypatch):
@@ -378,21 +405,53 @@ def test_smith_table_hands_the_stored_columns_to_the_reduction(monkeypatch):
     # `smith_normal_form` is a stored column itself, and only the cleared
     # ones are left out.
     received = _recording_smith(monkeypatch)
-    spaces = (_layered_with_twin(), PSEUDO_S1_DUP, space_from_dict(rp2_face_poset("cone-doubled")))
     passed = 0
-    for space in spaces:
-        data = build_pipeline(space)
+    for data in _torsion_and_layered_pipelines():
         for cc in (data.poset_cochain, data.ambient_chain, data.relative_cochain):
             received.clear()
             SmithTable.of(cc)
-            lows: set[int] = set()
-            for m, (matrix, next_lows) in zip(cc.maps, received):
-                kept = [column for i, column in enumerate(m.columns) if i not in lows]
-                assert matrix.rows == m.rows and len(matrix.columns) == len(kept)
+            expected = _expected_calls(cc)
+            assert len(received) == len(expected)
+            for (matrix, _), (k, kept, _, _) in zip(received, expected):
+                assert matrix.rows == cc.maps[k].rows and len(matrix.columns) == len(kept)
                 assert all(a is b for a, b in zip(matrix.columns, kept))
                 passed += len(kept)
-                lows = next_lows
-    assert passed > 500
+    assert passed > 250  # 282: the degree-0 and colliding maps only
+
+
+def _stored_route(cc):
+    """The same complex with its maps as a tuple, which `SmithTable.of` reduces map by map."""
+    return ChainComplex(cc.direction, cc.basis, tuple(cc.maps))
+
+
+LAYERED_SHAPES = ((3, 3, 1), (4, 3, 3), (5, 3, 2), (4, 4, 2), (5, 4, 2), (6, 4, 4))
+
+
+def test_smith_table_from_lowest_cofaces_matches_stored_route_and_dense_reduction(pipelines):
+    # Every chain, relative and cochain complex of the pipeline: the table
+    # read from the faces against the one reduced from the stored maps, and
+    # against dense elimination wherever it runs in time (not on the two
+    # RP2 + RP2 spaces, 11,820 faces in degree 3, nor on the layered shapes
+    # above 4x3x3).  The projective planes' torsion forces the route where
+    # lows collide.
+    planes = [rp2_face_poset(v) for v in ("plain", "12-doubled", "cone-doubled")]
+    sums = [rp2_ordinal_sum(doubled) for doubled in (False, True)]
+    small = [*pipelines, *map(build_pipeline, [*FIXTURES.values(), *map(space_from_dict, planes)])]
+    small += [build_pipeline(space_from_dict(layered_poset(*shape))) for shape in LAYERED_SHAPES[:2]]
+    large = [build_pipeline(space_from_dict(document)) for document in sums]
+    large += [build_pipeline(space_from_dict(layered_poset(*shape))) for shape in LAYERED_SHAPES[2:]]
+    checked = collisions = 0
+    for data, dense in [(data, True) for data in small] + [(data, False) for data in large]:
+        chains = (data.poset_chain, data.ambient_chain, data.relative_chain)
+        for cc in chains + (data.poset_cochain, cochain(data.ambient_chain), data.relative_cochain):
+            table = SmithTable.of(cc)
+            assert table == SmithTable.of(_stored_route(cc))
+            if dense:
+                assert table.diagonals == dense_diagonals(cc)
+            collisions += sum(k > 0 for k, _, _, _ in _expected_calls(cc))
+            checked += 1
+    assert checked == 6 * (500 + len(FIXTURES) + len(planes) + len(sums) + len(LAYERED_SHAPES))
+    assert collisions > 0
 
 
 def test_every_pipeline_map_reduces_by_its_lows_alone(pipelines):

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 
 from finsplice import (
+    FIXTURES,
     INDISC2,
     PSEUDO_S1,
     PSEUDO_S1_DUP,
     SIERP,
+    Preorder,
     decompose,
     equivalence_classes,
     is_poset,
@@ -181,3 +183,29 @@ def test_preorder_layers_match_oracles_on_drawn_relations(relation):
 def test_preorder_layers_match_oracles_on_blown_up_fixtures():
     for preorder in blown_up_fixtures():
         assert_preorder_layers_match_oracles(preorder)
+
+
+def assert_passes_the_public_checks(preorder):
+    """The public constructor, which checks every row, accepts the rows and derives the same classes."""
+    rebuilt = Preorder(preorder.points, preorder.up)
+    assert rebuilt == preorder
+    assert rebuilt.same == preorder.same
+
+
+def test_preorders_valid_by_construction_pass_the_public_checks(corpus):
+    # `strictify` and `preorder_from_relation` skip the row checks; the
+    # public constructor repeats them on every result.
+    spaces, _ = corpus
+    for space in [*spaces, *FIXTURES.values(), *blown_up_fixtures()]:
+        assert_passes_the_public_checks(strictify(space))
+        closed = preorder_from_relation(space.points, relation_pairs(space))
+        assert_passes_the_public_checks(closed)
+        assert closed == space
+
+
+@settings(max_examples=150, deadline=None)
+@given(relations())
+def test_preorders_valid_by_construction_pass_the_public_checks_on_drawn_relations(relation):
+    closed = preorder_from_relation(*relation)
+    assert_passes_the_public_checks(closed)
+    assert_passes_the_public_checks(strictify(closed))
